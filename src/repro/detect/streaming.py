@@ -2,6 +2,10 @@
 
 import collections
 import math
+import operator
+
+_event_time = operator.itemgetter(0)
+_event_hit = operator.itemgetter(1)
 
 
 class MovingAverage:
@@ -281,6 +285,11 @@ class RateCounter:
     Used for properties like "false-submit rate over the last second".
     Timestamps are the caller's virtual-time integers; the counter evicts
     events older than ``window`` on every query.
+
+    The event log is time-ordered except between a :meth:`merge` whose
+    runs interleave and the next read, when it holds the merged runs end
+    to end (``_unsettled``); every method that reads the log orders it
+    first, so callers never see the difference.
     """
 
     def __init__(self, window):
@@ -289,9 +298,12 @@ class RateCounter:
         self.window = window
         self._events = collections.deque()  # (time, hit: bool)
         self._hits = 0  # running numerator: rate() is O(evictions), not O(n)
+        self._unsettled = False
 
     def observe(self, time, hit):
         """Record one event at ``time``; ``hit`` marks the numerator."""
+        if self._unsettled:
+            self._settle()
         hit = bool(hit)
         self._events.append((time, hit))
         if hit:
@@ -307,6 +319,8 @@ class RateCounter:
         timestamp leaves *identical* state to n sequential observes — this
         is what lets the batched ingest lane stay bit-exact.
         """
+        if self._unsettled:
+            self._settle()
         events = self._events
         hit_count = 0
         last = None
@@ -321,6 +335,7 @@ class RateCounter:
         self._evict(last)
 
     def _evict(self, now):
+        """Drop events at or before ``now - window`` from a settled log."""
         cutoff = now - self.window
         events = self._events
         while events and events[0][0] <= cutoff:
@@ -328,39 +343,43 @@ class RateCounter:
             if hit:
                 self._hits -= 1
 
+    def _settle(self):
+        """Order the merged runs: one stable sort keyed on time alone.
+
+        The log is a concatenation of time-ordered runs in merge order, so
+        Timsort finds the runs and merges them in O(n log K) comparisons,
+        and stability keeps equal timestamps in merge order.
+        """
+        self._events = collections.deque(
+            sorted(self._events, key=_event_time))
+        self._unsettled = False
+
     def merge(self, other):
         """Interleave ``other``'s events into this counter (exact).
 
         Windows must match — merging counters with different trailing
         windows would silently change eviction semantics, so that raises
-        ``ValueError``.  Both event logs are time-ordered, so the merge is a
-        single two-pointer pass; ties take this counter's event first, which
-        keeps the merge deterministic regardless of call order per side.
-        Returns ``self`` for chaining.
+        ``ValueError``.  Both event logs are time-ordered; ties take this
+        counter's event first, so a chain of merges is deterministic in
+        its call order.  Returns ``self`` for chaining.
+
+        Cost: the merge itself only appends ``other``'s run, O(len(other)).
+        When the runs interleave the log is ordered once, by the next
+        method that reads it, however many merges came before — folding K
+        counters holding n events in all costs O(n log K) comparisons, not
+        a rebuild of the accumulated log per merge.
         """
         if not isinstance(other, RateCounter) or other.window != self.window:
             raise ValueError(
                 "cannot merge RateCounter(window={}) with {!r}".format(
                     self.window, other))
-        if not other._events:
+        theirs = other._events
+        if not theirs:
             return self
-        merged = collections.deque()
-        left, right = self._events, other._events
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i][0] <= right[j][0]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-        while i < len(left):
-            merged.append(left[i])
-            i += 1
-        while j < len(right):
-            merged.append(right[j])
-            j += 1
-        self._events = merged
+        mine = self._events
+        if other._unsettled or (mine and theirs[0][0] < mine[-1][0]):
+            self._unsettled = True
+        mine.extend(theirs)
         self._hits += other._hits
         return self
 
@@ -370,6 +389,8 @@ class RateCounter:
         The event log *is* the counter's state, so the round trip is exact;
         the running hit count is recomputed on load rather than trusted.
         """
+        if self._unsettled:
+            self._settle()
         return {"window": self.window,
                 "events": [[time, 1 if hit else 0]
                            for time, hit in self._events]}
@@ -377,15 +398,16 @@ class RateCounter:
     @classmethod
     def from_json(cls, data):
         counter = cls(data["window"])
-        for time, hit in data["events"]:
-            hit = bool(hit)
-            counter._events.append((time, hit))
-            if hit:
-                counter._hits += 1
+        events = data["events"]
+        hits = list(map(bool, map(_event_hit, events)))
+        counter._events.extend(zip(map(_event_time, events), hits))
+        counter._hits = hits.count(True)
         return counter
 
     def rate(self, now):
         """Fraction of events in the window that were hits (0.0 when empty)."""
+        if self._unsettled:
+            self._settle()
         self._evict(now)
         if not self._events:
             return 0.0
@@ -393,5 +415,7 @@ class RateCounter:
 
     def count(self, now):
         """Total events currently inside the window."""
+        if self._unsettled:
+            self._settle()
         self._evict(now)
         return len(self._events)

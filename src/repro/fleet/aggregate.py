@@ -189,12 +189,21 @@ class HostDigest:
         return row
 
     @classmethod
-    def from_row(cls, row):
-        """Inverse of :meth:`to_row`; exact by construction."""
+    def from_row(cls, row, round_index=None):
+        """Inverse of :meth:`to_row`; exact by construction.
+
+        ``round_index`` stands in for the row's own on rows that have none
+        (a results-store bucket row reports its first round).  Every slot
+        is filled straight from the row: no default sketches are built
+        only to be replaced.
+        """
         sketches = json.loads(row["sketches"])
-        digest = cls(row["host_id"], row["round_index"], row["time_ns"],
-                     row["version"],
-                     window_ns=sketches["false_submit_rate"]["window"])
+        digest = cls.__new__(cls)
+        digest.host_id = row["host_id"]
+        digest.round_index = (row["round_index"] if round_index is None
+                              else round_index)
+        digest.time_ns = row["time_ns"]
+        digest.version = row["version"]
         for field in cls.COUNTER_FIELDS:
             setattr(digest, field, row[field])
         digest.latency = Histogram.from_json(sketches["latency"])

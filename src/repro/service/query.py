@@ -14,6 +14,8 @@ downsampled time buckets; results that had to touch a bucket only
 partially covering the requested range are flagged ``approximate``.
 """
 
+import collections
+import functools
 import json
 
 from repro.fleet.aggregate import FleetDigest, HostDigest
@@ -148,50 +150,43 @@ def latency_trend(store, run_id=None):
     The series is ordered by time: one point per downsampled bucket
     (flagged ``downsampled``), then one point per raw round.  Rates use
     host-second denominators either way, so the seam is visible only as a
-    change of grain, not of units.
+    change of grain, not of units.  Every stored row is read and decoded
+    once: one pass over the raw rows, one over the bucket rows.
     """
     run = resolve_run(store, run_id)
     run_id = run["run_id"]
     round_s = run["round_ns"] / 1e9
-    points = []
-    raw_rounds = set(store.raw_round_indexes(run_id))
-    bucket_digests = {}
+    empty_digest = functools.partial(FleetDigest, run["round_ns"])
+    # round_index -> FleetDigest, filled in ascending (SQL) order
+    raw_digests = collections.defaultdict(empty_digest)
+    for row in store.digest_rows(run_id):
+        raw_digests[row["round_index"]].merge_host(HostDigest.from_row(row))
+    bucket_digests = collections.defaultdict(empty_digest)
     for row in store.bucket_rows(run_id):
-        if row["start_round"] in raw_rounds:
+        if row["start_round"] in raw_digests:
             continue
-        key = (row["start_round"], row["end_round"])
-        digest, state = bucket_digests.get(key, (FleetDigest(
-            run["round_ns"]), {"rounds": 0}))
-        digest.merge_host(digest_from_bucket_row(row), rounds=row["rounds"])
-        state["rounds"] = max(state["rounds"], row["rounds"])
-        bucket_digests[key] = (digest, state)
-    for (start, end), (digest, _) in sorted(bucket_digests.items()):
-        host_seconds = digest.host_seconds()
-        points.append({
-            "rounds": [start, end],
-            "time_s": end * round_s,
-            "downsampled": True,
-            "violation_rate": digest.violation_rate(),
-            "inconclusive_rate": digest.inconclusive_rate(),
-            "p95_us": _none_if_nan(digest.p95_us()),
-            "completed_ios": digest.completed_ios,
-            "host_seconds": host_seconds,
-        })
-    for round_index in sorted(raw_rounds):
-        digest, _ = merged_digest(store, run_id, round_index,
-                                  round_index + 1,
-                                  round_ns=run["round_ns"])
-        points.append({
-            "rounds": [round_index, round_index + 1],
-            "time_s": (round_index + 1) * round_s,
-            "downsampled": False,
-            "violation_rate": digest.violation_rate(),
-            "inconclusive_rate": digest.inconclusive_rate(),
-            "p95_us": _none_if_nan(digest.p95_us()),
-            "completed_ios": digest.completed_ios,
-            "host_seconds": digest.host_seconds(),
-        })
+        bucket_digests[row["start_round"], row["end_round"]].merge_host(
+            digest_from_bucket_row(row), rounds=row["rounds"])
+    points = [_trend_point(start, end, round_s, digest, downsampled=True)
+              for (start, end), digest in sorted(bucket_digests.items())]
+    points.extend(
+        _trend_point(round_index, round_index + 1, round_s, digest,
+                     downsampled=False)
+        for round_index, digest in raw_digests.items())
     return {"run": run_id, "round_s": round_s, "points": points}
+
+
+def _trend_point(start, end, round_s, digest, downsampled):
+    return {
+        "rounds": [start, end],
+        "time_s": end * round_s,
+        "downsampled": downsampled,
+        "violation_rate": digest.violation_rate(),
+        "inconclusive_rate": digest.inconclusive_rate(),
+        "p95_us": _none_if_nan(digest.p95_us()),
+        "completed_ios": digest.completed_ios,
+        "host_seconds": digest.host_seconds(),
+    }
 
 
 def gate_margins(store, run_id=None):

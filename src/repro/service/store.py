@@ -161,9 +161,7 @@ def digest_from_bucket_row(row):
     Bucket rows carry ``start_round``/``end_round`` instead of a single
     ``round_index``; the rebuilt digest reports the bucket's first round.
     """
-    mapped = {key: row[key] for key in row.keys()}
-    mapped["round_index"] = row["start_round"]
-    return HostDigest.from_row(mapped)
+    return HostDigest.from_row(row, round_index=row["start_round"])
 
 
 class RetentionPolicy:

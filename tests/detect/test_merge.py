@@ -5,9 +5,15 @@ Property-based (Hypothesis): Histogram and RateCounter merges are *exact*
 Welford), and P2Quantile merges are tolerance-bounded against the true
 pooled quantile.  Plus the incompatible-sketch error paths: mismatched
 bounds/windows/quantiles must raise rather than silently blend.
+
+RateCounter additionally gets a differential oracle (the two-pointer merge
+it used before its log was ordered lazily, kept here as the reference), a
+wall-clock-free scaling pin, and the algebraic laws a fold relies on.
 """
 
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +106,271 @@ def test_rate_counter_window_mismatch_raises():
         RateCounter(1000).merge(RateCounter(500))
     with pytest.raises(ValueError):
         RateCounter(1000).merge(object())
+
+
+class TwoPointerCounter:
+    """The eager RateCounter this repo shipped before merges went lazy.
+
+    Reference implementation: every merge rebuilds the whole log with a
+    two-pointer pass (ties take this counter's event first).  The real
+    counter must leave the same event log and hit count, bit for bit.
+    """
+
+    def __init__(self, window):
+        self.window = window
+        self.events = []
+        self.hits = 0
+
+    def observe(self, time, hit):
+        self.observe_batch([time], [hit])
+
+    def observe_batch(self, times, hits):
+        for time, hit in zip(times, hits):
+            self.events.append((time, bool(hit)))
+            self.hits += bool(hit)
+        if times:
+            self.evict(times[-1])
+
+    def evict(self, now):
+        cutoff = now - self.window
+        while self.events and self.events[0][0] <= cutoff:
+            self.hits -= self.events.pop(0)[1]
+
+    def merge(self, other):
+        left, right = self.events, other.events
+        merged = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if left[i][0] <= right[j][0]:
+                merged.append(left[i])
+                i += 1
+            else:
+                merged.append(right[j])
+                j += 1
+        merged.extend(left[i:])
+        merged.extend(right[j:])
+        self.events = merged
+        self.hits += other.hits
+        return self
+
+    def rate(self, now):
+        self.evict(now)
+        return self.hits / len(self.events) if self.events else 0.0
+
+    def count(self, now):
+        self.evict(now)
+        return len(self.events)
+
+
+def settled_log(counter):
+    """The real counter's full state, read the way the store reads it."""
+    dumped = counter.to_json()["events"]
+    assert dumped == [[t, int(hit)] for t, hit in counter._events]
+    return [(t, bool(hit)) for t, hit in dumped], counter._hits
+
+
+def both(window, log):
+    real, reference = RateCounter(window), TwoPointerCounter(window)
+    for time, hit in log:
+        real.observe(time, hit)
+        reference.observe(time, hit)
+    return real, reference
+
+
+# Narrow time range on purpose: duplicate timestamps within and across
+# sides are the common case, and the window (100) evicts mid-chain.
+CHAIN_WINDOW = 100
+short_logs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=300), st.booleans()),
+    max_size=25).map(lambda events: sorted(events, key=lambda e: e[0]))
+offsets = st.integers(min_value=0, max_value=60)
+chain_ops = st.lists(st.one_of(
+    st.tuples(st.just("merge"), short_logs),
+    st.tuples(st.just("merge_into"), short_logs),
+    st.tuples(st.just("self_merge")),
+    st.tuples(st.just("observe"), offsets, st.booleans()),
+    st.tuples(st.just("observe_batch"),
+              st.lists(st.tuples(offsets, st.booleans()), max_size=6)),
+    st.tuples(st.just("rate"), st.integers(min_value=-150, max_value=150)),
+    st.tuples(st.just("round_trip")),
+), max_size=16)
+
+
+@given(start=short_logs, ops=chain_ops)
+def test_rate_counter_merge_chain_matches_two_pointer_reference(start, ops):
+    real, reference = both(CHAIN_WINDOW, start)
+    clock = start[-1][0] if start else 0  # observes never run backwards
+    for op in ops:
+        kind = op[0]
+        if kind == "merge":
+            other, other_reference = both(CHAIN_WINDOW, op[1])
+            assert real.merge(other) is real
+            reference.merge(other_reference)
+        elif kind == "merge_into":
+            # The accumulated (possibly still unordered) log is the
+            # *argument* of the merge, and the result carries on.
+            other, other_reference = both(CHAIN_WINDOW, op[1])
+            real = other.merge(real)
+            reference = other_reference.merge(reference)
+        elif kind == "self_merge":
+            real.merge(real)
+            reference.merge(reference)
+        elif kind == "observe":
+            clock += op[1]
+            real.observe(clock, op[2])
+            reference.observe(clock, op[2])
+        elif kind == "observe_batch":
+            times = []
+            for offset, _ in op[1]:
+                clock += offset
+                times.append(clock)
+            hits = [hit for _, hit in op[1]]
+            real.observe_batch(times, hits)
+            reference.observe_batch(times, hits)
+        elif kind == "rate":
+            now = clock + op[1]
+            assert real.rate(now) == reference.rate(now)
+            assert real.count(now) == reference.count(now)
+        elif kind == "round_trip":
+            real = RateCounter.from_json(
+                json.loads(json.dumps(real.to_json())))
+        if reference.events:
+            clock = max(clock, max(t for t, _ in reference.events))
+    assert settled_log(real) == (reference.events, reference.hits)
+
+
+def test_rate_counter_self_merge_doubles_every_event_in_place():
+    counter, reference = both(10_000, [(1, True), (1, False), (2, True)])
+    assert counter.merge(counter) is counter
+    reference.merge(reference)
+    want = [(1, True), (1, False), (1, True), (1, False),
+            (2, True), (2, True)]
+    assert reference.events == want
+    assert settled_log(counter) == (want, 4)
+    assert counter.rate(2) == 4 / 6
+
+
+def test_rate_counter_observe_after_interleaving_merge():
+    counter, reference = both(10_000, [(10, True), (30, False)])
+    other, other_reference = both(10_000, [(20, True)])
+    counter.merge(other)
+    reference.merge(other_reference)
+    # A late event lands behind the merged log, exactly where the eager
+    # merge left it: the log is ordered *before* the append, not after.
+    for time, hit in ((25, True), (40, False)):
+        counter.observe(time, hit)
+        reference.observe(time, hit)
+    want = [(10, True), (20, True), (30, False), (25, True), (40, False)]
+    assert reference.events == want
+    assert settled_log(counter) == (want, 3)
+
+
+class CountedTime(int):
+    """An event time that counts every ordering comparison made on it."""
+
+    comparisons = 0
+
+    def _counted(name):
+        compare = getattr(int, name)
+
+        def method(self, other):
+            CountedTime.comparisons += 1
+            return compare(self, other)
+        return method
+
+    __lt__ = _counted("__lt__")
+    __le__ = _counted("__le__")
+    __gt__ = _counted("__gt__")
+    __ge__ = _counted("__ge__")
+    del _counted
+
+
+def test_rate_counter_fold_is_n_log_k_comparisons():
+    # No wall clock: count comparisons on the event times themselves.
+    k, n = 64, 50
+    rng = random.Random(14)
+    logs = [sorted((CountedTime(rng.randrange(10**6)), rng.random() < 0.3)
+                   for _ in range(n))
+            for _ in range(k)]
+    window = 10**9  # nothing evicts: the fold's own work is what's counted
+
+    def fold(make):
+        counters = []
+        for log in logs:
+            counters.append(make(window))
+            for time, hit in log:
+                counters[-1].observe(time, hit)
+        CountedTime.comparisons = 0
+        total = make(window)
+        for counter in counters:
+            total.merge(counter)
+        return total
+
+    total = fold(RateCounter)
+    log, hits = settled_log(total)
+    lazy = CountedTime.comparisons
+    reference = fold(TwoPointerCounter)
+    eager = CountedTime.comparisons
+
+    assert (log, hits) == (reference.events, reference.hits)
+    bound = k * n * (math.log2(k) + 2)
+    assert lazy <= bound
+    assert eager > 3 * bound  # ~K^2 n / 2: the bound tells the two apart
+
+
+# -- Algebraic laws: what lets a store fold rows in any grouping ------------
+
+
+def rate_counter(log):
+    counter = RateCounter(10**6)
+    counter.observe_batch([t for t, _ in log], [hit for _, hit in log])
+    return counter
+
+
+def histogram(samples):
+    sketch = Histogram(-100.0, 100.0, 16)
+    sketch.update_many(samples)
+    return sketch
+
+
+def histogram_state(sketch):
+    return (sketch.counts, sketch.underflow, sketch.overflow, sketch.total)
+
+
+@settings(max_examples=50)
+@given(a=short_logs, b=short_logs, c=short_logs)
+def test_rate_counter_merge_laws(a, b, c):
+    # Associative, exactly: ties resolve a, b, c under either grouping.
+    grouped_left = rate_counter(a).merge(rate_counter(b)).merge(
+        rate_counter(c))
+    grouped_right = rate_counter(a).merge(
+        rate_counter(b).merge(rate_counter(c)))
+    assert settled_log(grouped_left) == settled_log(grouped_right)
+    # The empty counter is a two-sided identity.
+    assert settled_log(rate_counter([]).merge(rate_counter(a))) == \
+        settled_log(rate_counter(a))
+    assert settled_log(rate_counter(a).merge(rate_counter([]))) == \
+        settled_log(rate_counter(a))
+    # Commutative up to the order of equal timestamps.
+    ab, hits_ab = settled_log(rate_counter(a).merge(rate_counter(b)))
+    ba, hits_ba = settled_log(rate_counter(b).merge(rate_counter(a)))
+    assert hits_ab == hits_ba
+    assert [t for t, _ in ab] == [t for t, _ in ba]
+    assert sorted(ab) == sorted(ba)
+
+
+@settings(max_examples=50)
+@given(a=value_lists, b=value_lists, c=value_lists)
+def test_histogram_merge_laws(a, b, c):
+    grouped_left = histogram(a).merge(histogram(b)).merge(histogram(c))
+    grouped_right = histogram(a).merge(histogram(b).merge(histogram(c)))
+    assert histogram_state(grouped_left) == histogram_state(grouped_right)
+    assert histogram_state(histogram([]).merge(histogram(a))) == \
+        histogram_state(histogram(a))
+    assert histogram_state(histogram(a).merge(histogram([]))) == \
+        histogram_state(histogram(a))
+    assert histogram_state(histogram(a).merge(histogram(b))) == \
+        histogram_state(histogram(b).merge(histogram(a)))
 
 
 # -- SummaryDigest: float-tolerance ----------------------------------------

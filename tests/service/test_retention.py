@@ -6,10 +6,13 @@ exact under merge, and host-second denominators survive via the bucket's
 ``rounds`` column.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.fleet.aggregate import FleetDigest, HostDigest
-from repro.service.query import merged_digest
+from repro.service.query import latency_trend, merged_digest
 from repro.service.store import ResultsStore, RetentionPolicy, StoreError
 
 ROUND_NS = 10 ** 9
@@ -162,3 +165,45 @@ def test_resumed_store_matches_uninterrupted_store(tmp_path):
     assert rows_a == rows_b
     clean.close()
     crashed.close()
+
+
+def test_folds_are_byte_identical_to_the_eager_merge(tmp_path):
+    """Range folds, the trend series and retention-folded bucket blobs over
+    a 16-host x 40-round soak hash to the values recorded at commit
+    18e3ccb, where every ``RateCounter.merge`` rebuilt its log eagerly.
+
+    The fleet digest's *full* sketch state is hashed, not only its
+    ``to_dict()``: the 12 840-event false-submit log must come out in the
+    same order, ties included.
+    """
+    from repro.service.loop import serve_soak
+
+    def sha(value):
+        return hashlib.sha256(
+            json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+    policy = RetentionPolicy(raw_rounds=8, bucket_rounds=8)
+    with ResultsStore(str(tmp_path / "s.sqlite"), retention=policy) as store:
+        run_id = serve_soak(store, hosts=16, rounds=40, rate_ios=20,
+                            seed=42)["run"]
+        digest, meta = merged_digest(store, run_id, 0, 40)
+        assert meta == {"raw_rounds": 8, "buckets": 64, "approximate": False}
+        events = digest.false_submit_rate.to_json()
+        assert len(events["events"]) == digest.model_submits == 12840
+        full = {"digest": digest.to_dict(), "meta": meta,
+                "latency": digest.latency.to_json(),
+                "summary": digest.latency_summary.to_json(),
+                "tail": digest.latency_tail.to_json(),
+                "false_submit_rate": events}
+        assert sha(full) == ("f82c91c30aefb9ce50b1b6b3bb44ec17"
+                             "8246c1891247afcdc53c221350d86151")
+        trend = latency_trend(store, run_id)
+        assert [point["downsampled"] for point in trend["points"]] == \
+            [True] * 4 + [False] * 8
+        assert sha(trend) == ("0b8d4902ae1ff3f98382cf33179cea01"
+                              "4047ced8236e0fe547ec334a64989408")
+        blobs = [[row["bucket"], row["host_id"], row["sketches"]]
+                 for row in store.bucket_rows(run_id)]
+        assert len(blobs) == 64
+        assert sha(blobs) == ("cdb72fd78718aced9a653a82dd2abb08"
+                              "bc7fbb9fe4ecd875ae852bfc1e5e39cb")

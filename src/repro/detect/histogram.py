@@ -7,6 +7,7 @@ or the KS statistic.
 """
 
 import math
+import operator
 
 
 class Histogram:
@@ -110,8 +111,7 @@ class Histogram:
                     self.lo, self.hi, self.bins,
                     getattr(other, "lo", "?"), getattr(other, "hi", "?"),
                     getattr(other, "bins", "?")))
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
+        self.counts[:] = map(operator.add, self.counts, other.counts)
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.total += other.total
@@ -126,7 +126,7 @@ class Histogram:
     @classmethod
     def from_json(cls, data):
         histogram = cls(data["lo"], data["hi"], data["bins"])
-        counts = [int(c) for c in data["counts"]]
+        counts = list(map(int, data["counts"]))
         if len(counts) != histogram.bins:
             raise ValueError(
                 "histogram state has {} counts for {} bins".format(

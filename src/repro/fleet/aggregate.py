@@ -3,11 +3,12 @@
 Hosts never ship raw samples.  Each round every host emits one
 :class:`HostDigest` — flat counters (violations, actions, completed I/Os)
 plus bounded metric *sketches* (a fixed-bin latency histogram, a Welford
-summary, a P² tail estimator, and a false-submit :class:`RateCounter`).
-Counters add; sketches ``merge()`` (exact for histogram/rate-counter
-events, tolerance-bounded for P²); so the control plane folds any set of
-digests — across hosts, across rounds, across cohorts — into one
-:class:`FleetDigest` and checks fleet-wide properties centrally.
+summary and a P² tail estimator).  Counters add; sketches ``merge()``
+(exact for the histogram, tolerance-bounded for Welford/P²); so the
+control plane folds any set of digests — across hosts, across rounds,
+across cohorts — into one :class:`FleetDigest` and checks fleet-wide
+properties centrally.  False submits travel as the ``false_submits`` /
+``model_submits`` counters alone: no per-event log.
 
 Digest cost is what makes fleet scale work: one digest is a few hundred
 bytes of counters plus ``O(bins)`` histogram state, independent of how
@@ -19,7 +20,7 @@ import math
 
 from repro.detect.histogram import Histogram
 from repro.detect.quantiles import P2Quantile
-from repro.detect.streaming import RateCounter, SummaryDigest
+from repro.detect.streaming import SummaryDigest
 from repro.sim.units import SECOND
 
 #: Latency histogram bounds, microseconds.  Wide enough that post-drift GC
@@ -70,11 +71,9 @@ class HostDigest:
     __slots__ = ("host_id", "round_index", "time_ns", "version",
                  "checks", "violations", "actions", "inconclusive",
                  "completed_ios", "false_submits", "model_submits",
-                 "latency", "latency_summary", "latency_tail",
-                 "false_submit_rate", "groups")
+                 "latency", "latency_summary", "latency_tail", "groups")
 
-    def __init__(self, host_id, round_index, time_ns, version,
-                 window_ns=1 * SECOND):
+    def __init__(self, host_id, round_index, time_ns, version):
         self.host_id = host_id
         self.round_index = round_index
         self.time_ns = time_ns
@@ -89,18 +88,20 @@ class HostDigest:
         self.latency = latency_histogram()
         self.latency_summary = SummaryDigest()
         self.latency_tail = P2Quantile(TAIL_Q)
-        self.false_submit_rate = RateCounter(window_ns)
         self.groups = {}
 
     def observe_io(self, time_ns, latency_us, false_submit, predicted_fast):
-        """Fold one completed I/O into the round's sketches."""
+        """Fold one completed I/O into the round's sketches.
+
+        ``time_ns`` is the completion hook's timestamp; no sketch keeps
+        per-event times, so it is not recorded.
+        """
         self.completed_ios += 1
         self.latency.update(latency_us)
         self.latency_summary.update(latency_us)
         self.latency_tail.update(latency_us)
         if predicted_fast:
             self.model_submits += 1
-            self.false_submit_rate.observe(time_ns, false_submit)
             if false_submit:
                 self.false_submits += 1
 
@@ -149,7 +150,6 @@ class HostDigest:
         self.latency.merge(other.latency)
         self.latency_summary.merge(other.latency_summary)
         self.latency_tail.merge(other.latency_tail)
-        self.false_submit_rate.merge(other.false_submit_rate)
         if other.time_ns > self.time_ns:
             self.time_ns = other.time_ns
         self.round_index = min(self.round_index, other.round_index)
@@ -171,7 +171,6 @@ class HostDigest:
             "latency": self.latency.to_json(),
             "summary": self.latency_summary.to_json(),
             "tail": self.latency_tail.to_json(),
-            "false_submit_rate": self.false_submit_rate.to_json(),
         }
         if self.groups:
             # Multi-policy hosts only: absent on legacy digests so their
@@ -209,8 +208,6 @@ class HostDigest:
         digest.latency = Histogram.from_json(sketches["latency"])
         digest.latency_summary = SummaryDigest.from_json(sketches["summary"])
         digest.latency_tail = P2Quantile.from_json(sketches["tail"])
-        digest.false_submit_rate = RateCounter.from_json(
-            sketches["false_submit_rate"])
         digest.groups = sketches.get("groups", {})
         return digest
 
@@ -237,7 +234,6 @@ class FleetDigest:
         self.latency = latency_histogram()
         self.latency_summary = SummaryDigest()
         self.latency_tail = P2Quantile(TAIL_Q)
-        self.false_submit_rate = RateCounter(round_ns)
         self.groups = {}
         self.last_time_ns = 0
 
@@ -261,7 +257,6 @@ class FleetDigest:
         self.latency.merge(digest.latency)
         self.latency_summary.merge(digest.latency_summary)
         self.latency_tail.merge(digest.latency_tail)
-        self.false_submit_rate.merge(digest.false_submit_rate)
         if digest.time_ns > self.last_time_ns:
             self.last_time_ns = digest.time_ns
         return self
@@ -285,7 +280,6 @@ class FleetDigest:
         self.latency.merge(other.latency)
         self.latency_summary.merge(other.latency_summary)
         self.latency_tail.merge(other.latency_tail)
-        self.false_submit_rate.merge(other.false_submit_rate)
         if other.last_time_ns > self.last_time_ns:
             self.last_time_ns = other.last_time_ns
         return self

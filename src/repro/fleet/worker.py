@@ -124,7 +124,6 @@ class SimulatedHost:
         from repro.kernel.storage import PoissonWorkload
 
         self.spec = spec
-        self.round_ns = round_ns
         kernel, devices, volume = build_storage_kernel(
             seed=spec.seed, replicas=spec.replicas)
         self.kernel = kernel
@@ -168,8 +167,7 @@ class SimulatedHost:
             schedule_profile_change(kernel, devices,
                                     DeviceProfile.post_drift(),
                                     int(spec.drift_s * 1e9))
-        self._digest = HostDigest(spec.host_id, 0, 0, self.version,
-                                  window_ns=round_ns)
+        self._digest = HostDigest(spec.host_id, 0, 0, self.version)
         volume.complete_hook.attach(self._on_io_complete,
                                     name="fleet.digest")
         self.workload = PoissonWorkload(
@@ -244,7 +242,7 @@ class SimulatedHost:
             digest.groups = deltas
         self._last_totals = totals
         self._digest = HostDigest(self.spec.host_id, round_index + 1,
-                                  0, self.version, window_ns=self.round_ns)
+                                  0, self.version)
         return digest
 
 

@@ -37,9 +37,12 @@ import sqlite3
 
 from repro.fleet.aggregate import HostDigest
 
-#: Bump on any table/column change; stores created by other versions are
-#: refused rather than silently misread.  v2 added the ``proposals`` table.
-SCHEMA_VERSION = 2
+#: Bump on any table/column/row-content change; stores created by other
+#: versions are refused rather than silently misread.  v2 added the
+#: ``proposals`` table.  v3 dropped the false-submit event log from the
+#: ``sketches`` blobs: same tables, and a v2 row is a v3 row plus one key
+#: no reader looks at, so v2 stores open as they are and are restamped.
+SCHEMA_VERSION = 3
 
 _COUNTERS = HostDigest.COUNTER_FIELDS  # checks .. model_submits
 
@@ -216,6 +219,10 @@ class ResultsStore:
                 self._db.execute(
                     "INSERT INTO meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(SCHEMA_VERSION)))
+            elif row["value"] == "2":
+                self._db.execute(
+                    "UPDATE meta SET value=? WHERE key='schema_version'",
+                    (str(SCHEMA_VERSION),))
             elif int(row["value"]) != SCHEMA_VERSION:
                 raise StoreError(
                     "store {!r} has schema v{}, this build speaks v{}".format(

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -169,13 +170,48 @@ def test_merge_host_is_row_order_independent(rows, order):
         fleet = FleetDigest(round_ns=1 * SECOND)
         for row in stored:
             fleet.merge_host(HostDigest.from_row(row))
-        events = fleet.false_submit_rate.to_json()["events"]
         counters = {field: getattr(fleet, field)
                     for field in HostDigest.COUNTER_FIELDS}
         return (counters, fleet.hosts, fleet.host_rounds, fleet.groups,
-                fleet.latency.to_json(), fleet.last_time_ns,
-                [time for time, _ in events], sorted(events))
+                fleet.latency.to_json(), fleet.last_time_ns)
 
     shuffled = digests()
     order.shuffle(shuffled)
     assert fold(shuffled) == fold(digests())
+
+
+# -- Width: a row's sketch blob does not grow with the I/Os it summarizes ---
+
+#: Counters widen by a digit per decade of I/Os and floats print at most
+#: 17 significant digits; 1 KiB leaves that headroom and nothing else.
+SKETCH_BYTES_CEILING = 1024
+
+
+def fed_digest(ios, round_index=0):
+    rng = random.Random(ios * 64 + round_index)
+    digest = HostDigest(0, round_index, (round_index + 1) * SECOND, version=1)
+    for index in range(ios):
+        digest.observe_io(round_index * SECOND + index,
+                          rng.uniform(0.0, 6000.0), rng.random() < 0.3,
+                          rng.random() < 0.8)
+    return digest
+
+
+def sketch_bytes(digest):
+    return len(digest.to_row()["sketches"])
+
+
+def test_sketch_blob_width_is_bounded_whatever_the_round_served():
+    small, large = sketch_bytes(fed_digest(10)), sketch_bytes(fed_digest(5000))
+    assert small < SKETCH_BYTES_CEILING
+    assert large < SKETCH_BYTES_CEILING
+    # 500x the I/Os buys a few more digits, not a longer list of anything.
+    assert large - small < 128
+
+
+def test_sketch_blob_width_is_bounded_across_a_64_round_fold():
+    folded = fed_digest(5000)
+    for round_index in range(1, 64):
+        folded.merge_round(fed_digest(5000, round_index))
+    assert folded.completed_ios == 64 * 5000
+    assert sketch_bytes(folded) < SKETCH_BYTES_CEILING

@@ -40,7 +40,7 @@ def test_schema_version_is_stamped_and_checked(tmp_path):
     db.close()
     with pytest.raises(StoreError, match="schema v999"):
         ResultsStore(path)
-    assert SCHEMA_VERSION == 2
+    assert SCHEMA_VERSION == 3
 
 
 def test_proposal_lifecycle(tmp_path):

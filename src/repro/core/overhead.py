@@ -91,6 +91,8 @@ class InferenceMeter:
         self.gain_ns = 0
         self.inferences = 0
         self._window = MovingAverage(window)
+        self._keys = tuple(prefix + suffix for suffix in (
+            ".inference_ns", ".gain_ns", ".net_benefit", ".inferences"))
         self._publish()
 
     def record_inference(self, ns):
@@ -116,7 +118,9 @@ class InferenceMeter:
         return self.gain_ns - self.inference_ns
 
     def _publish(self):
-        self.store.save(self.prefix + ".inference_ns", self.inference_ns)
-        self.store.save(self.prefix + ".gain_ns", self.gain_ns)
-        self.store.save(self.prefix + ".net_benefit", self.net_benefit)
-        self.store.save(self.prefix + ".inferences", self.inferences)
+        save = self.store.save
+        inference_key, gain_key, net_key, count_key = self._keys
+        save(inference_key, self.inference_ns)
+        save(gain_key, self.gain_ns)
+        save(net_key, self.net_benefit)
+        save(count_key, self.inferences)

@@ -193,12 +193,15 @@ class SsdDevice:
         mode §5 studies.  The depth is still observable via
         :attr:`queue_depth` for policies that want it.)
         """
-        return [
-            self.recent_slow_fraction(4),
-            self.recent_slow_fraction(8),
-            1.0 if self.last_latency_us() > self.slow_threshold_us else 0.0,
-            self.time_since_slow(),
-        ]
+        # One freshness test and one pass over the history for all three
+        # latency features (this runs once per replica per submit).
+        if not self.history or not self._history_fresh():
+            return [0.0, 0.0, 0.0, self.time_since_slow()]
+        threshold = self.slow_threshold_us
+        slow = [latency > threshold for latency in self.history][-8:]
+        recent = slow[-4:]
+        return [sum(recent) / len(recent), sum(slow) / len(slow),
+                1.0 if slow[-1] else 0.0, self.time_since_slow()]
 
     # -- service --------------------------------------------------------------
 
@@ -227,12 +230,13 @@ class SsdDevice:
         return float(self.rng.lognormal(math.log(median), sigma))
 
     def _complete(self, request, on_complete, service_us):
+        now = self.engine.now
         self.served_count += 1
         if service_us > self.slow_threshold_us:
             self.slow_served_count += 1
-            self.last_slow_completion_time = self.engine.now
+            self.last_slow_completion_time = now
         self.history.append(service_us)
-        self.last_completion_time = self.engine.now
+        self.last_completion_time = now
         on_complete(request, service_us)
         self._start_next()
 

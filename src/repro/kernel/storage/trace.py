@@ -42,11 +42,8 @@ class PoissonWorkload:
         self._schedule_next()
         return self
 
-    def _current_rate(self):
-        return self.phases[self._phase_index][1]
-
     def _schedule_next(self):
-        gap_s = self.rng.exponential(1.0 / self._current_rate())
+        gap_s = self.rng.exponential(1.0 / self.phases[self._phase_index][1])
         self.kernel.engine.schedule(max(int(gap_s * SECOND), 1), self._issue)
 
     def _issue(self):
@@ -57,8 +54,7 @@ class PoissonWorkload:
                 self.done = True
                 return
             self._phase_end += self.phases[self._phase_index][0]
-        is_write = self.rng.random() < self.write_fraction
-        self.volume.submit(is_write=is_write)
+        self.volume.submit(is_write=self.rng.random() < self.write_fraction)
         self.submitted += 1
         self._schedule_next()
 

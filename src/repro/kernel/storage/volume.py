@@ -116,11 +116,12 @@ class ReplicatedVolume:
     def submit(self, is_write=False, size=4096):
         """Submit one I/O; replica choice goes through the policy slot."""
         self._io_counter += 1
-        request = IoRequest(self._io_counter, self.kernel.engine.now, is_write, size)
-        decision = self.kernel.functions.slot(self.PICK_SLOT)(self)
-        request.device_index = decision.index
-        request.used_model = decision.used_model
-        request.predicted_fast = decision.predicted_fast
+        kernel = self.kernel
+        request = IoRequest(self._io_counter, kernel.engine.now, is_write, size)
+        decision = kernel.functions.slot(self.PICK_SLOT)(self)
+        index = request.device_index = decision.index
+        used_model = request.used_model = decision.used_model
+        predicted_fast = request.predicted_fast = decision.predicted_fast
         # Inference happens on the submit path, so its cost is part of the
         # I/O's end-to-end latency (a stalled decision delays the I/O even
         # though the device never sees the wait).  Queue dynamics are left
@@ -128,62 +129,66 @@ class ReplicatedVolume:
         # only the reported latency carries the charge.
         request.inference_us = ns_to_us(decision.inference_ns or 0)
         self.inflight += 1
-        if decision.used_model:
+        if used_model:
             self.model_submits += 1
+        device = self.devices[index]
         self.submit_hook.fire(
             io_id=request.io_id,
-            device=decision.index,
-            used_model=decision.used_model,
-            predicted_fast=decision.predicted_fast,
-            queue_depth=self.devices[decision.index].queue_depth,
+            device=index,
+            used_model=used_model,
+            predicted_fast=predicted_fast,
+            queue_depth=device.queue_depth,
         )
-        self.devices[decision.index].enqueue(request, self._on_complete)
+        device.enqueue(request, self._on_complete)
         return request
 
     def _on_complete(self, request, service_us):
-        now = self.kernel.engine.now
+        kernel = self.kernel
+        now = kernel.engine.now
         request.complete_time = now
-        request.latency_us = (ns_to_us(now - request.submit_time)
-                              + request.inference_us)
+        latency_us = request.latency_us = (
+            ns_to_us(now - request.submit_time) + request.inference_us)
         self.inflight -= 1
         self.completed += 1
         # "Slow" is a property of the device's service (a GC stall), not of
         # queueing congestion — the model predicts device state, so both its
         # labels and false-submit accounting use the service component.
         slow = service_us > self.slow_threshold_us
-        false_submit = bool(request.used_model and request.predicted_fast and slow)
+        used_model = request.used_model
+        predicted_fast = request.predicted_fast
+        false_submit = bool(used_model and predicted_fast and slow)
         if false_submit:
             self.false_submits += 1
 
         if self._ingest is not None:
-            if (request.used_model and request.predicted_fast is not None
-                    and request.predicted_fast):
+            if used_model and predicted_fast is not None and predicted_fast:
                 fs_event = 1 if false_submit else 0
             else:
                 fs_event = None
-            self._ingest.add(now, request.latency_us, fs_event, slow)
+            self._ingest.add(now, latency_us, fs_event, slow)
         else:
-            store = self.kernel.store
-            store.save("io_latency_us", request.latency_us)
-            if request.used_model and request.predicted_fast is not None:
+            store = kernel.store
+            store.save("io_latency_us", latency_us)
+            if used_model and predicted_fast is not None:
                 # Rate denominator: every model-guided fast prediction.
-                if request.predicted_fast:
+                if predicted_fast:
                     store.save("false_submit", 1 if false_submit else 0)
 
-            self.kernel.metrics.record(self.metric_prefix + ".io_latency_us",
-                                       request.latency_us)
-            self.kernel.metrics.increment(self.metric_prefix + ".completed")
+            metrics = kernel.metrics
+            prefix = self.metric_prefix
+            metrics.record(prefix + ".io_latency_us", latency_us)
+            metrics.increment(prefix + ".completed")
             if slow:
-                self.kernel.metrics.increment(self.metric_prefix + ".slow_ios")
+                metrics.increment(prefix + ".slow_ios")
 
         self.complete_hook.fire(
             io_id=request.io_id,
             device=request.device_index,
-            latency_us=request.latency_us,
+            latency_us=latency_us,
             service_us=service_us,
             slow=slow,
-            used_model=request.used_model,
-            predicted_fast=request.predicted_fast,
+            used_model=used_model,
+            predicted_fast=predicted_fast,
             false_submit=false_submit,
         )
 

@@ -6,9 +6,8 @@ in-distribution guardrail compares live inputs against
 the same samples the normalizer was fit on.
 """
 
-import numpy as np
-
 from repro.detect.reference import ReferenceDistribution
+from repro.ml.mlp import as_float_rows
 
 
 class Normalizer:
@@ -20,7 +19,7 @@ class Normalizer:
         self.feature_count = None
 
     def fit(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_float_rows(x)
         self.mean = x.mean(axis=0)
         std = x.std(axis=0)
         std[std == 0] = 1.0
@@ -35,7 +34,7 @@ class Normalizer:
     def transform(self, x):
         if not self.fitted:
             raise RuntimeError("normalizer is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_float_rows(x)
         if x.shape[1] != self.feature_count:
             raise ValueError(
                 "expected {} features, got {}".format(self.feature_count, x.shape[1])
@@ -47,7 +46,7 @@ class Normalizer:
 
     def references(self, x, names=None, bins=32):
         """Build a P1 reference distribution per feature from samples ``x``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_float_rows(x)
         if names is None:
             names = ["feature_{}".format(i) for i in range(x.shape[1])]
         if len(names) != x.shape[1]:

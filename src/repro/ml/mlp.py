@@ -8,11 +8,22 @@ layers, ReLU activations, and a task-specific head.  Heads:
 - ``"linear"`` — regression, trained with MSE.
 
 ``forward`` keeps the per-layer activations needed by ``backward``;
-``predict`` is the inference-only path and also counts multiply-accumulate
-operations so policies can report realistic inference cost.
+``predict`` is the inference-only path — the same arithmetic in the same
+order, nothing kept — and ``mac_count`` lets policies report realistic
+inference cost.
 """
 
 import numpy as np
+
+_FLOAT64 = np.dtype(float)
+
+
+def as_float_rows(x):
+    """``atleast_2d(asarray(x, dtype=float))``, skipped for what the
+    per-inference path hands over: an array that already is one."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype is _FLOAT64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 class Mlp:
@@ -31,12 +42,14 @@ class Mlp:
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
         self.inference_count = 0
+        #: Multiply-accumulates per single-example inference.
+        self.mac_count = sum(a * b for a, b in zip(layer_sizes, layer_sizes[1:]))
 
     # -- inference -----------------------------------------------------------
 
     def forward(self, x):
         """Forward pass keeping intermediates; ``x`` is (batch, features)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_float_rows(x)
         activations = [x]
         pre_activations = []
         h = x
@@ -53,7 +66,8 @@ class Mlp:
 
     def _apply_head(self, z):
         if self.head == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+            # np.clip's own arithmetic, without its Python-level wrapper.
+            return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60), 60)))
         if self.head == "softmax":
             shifted = z - z.max(axis=1, keepdims=True)
             e = np.exp(shifted)
@@ -63,8 +77,12 @@ class Mlp:
     def predict(self, x):
         """Inference-only forward pass; returns the head output."""
         self.inference_count += 1
-        out, _, _ = self.forward(x)
-        return out
+        h = as_float_rows(x)
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w + b
+            h = np.maximum(z, 0.0) if i < last else self._apply_head(z)
+        return h
 
     def predict_class(self, x, threshold=0.5):
         """Hard decisions: 0/1 for sigmoid, argmax for softmax."""
@@ -74,11 +92,6 @@ class Mlp:
         if self.head == "softmax":
             return out.argmax(axis=1)
         raise ValueError("predict_class needs a classifier head")
-
-    @property
-    def mac_count(self):
-        """Multiply-accumulates per single-example inference."""
-        return sum(a * b for a, b in zip(self.layer_sizes, self.layer_sizes[1:]))
 
     # -- training --------------------------------------------------------------
 

@@ -105,11 +105,17 @@ class SensitivityProbe:
         self.alpha = alpha
         self.probe_count = 0
 
+    def due(self):
+        """Count one inference; true on every ``probe_every``-th."""
+        self._count += 1
+        return not self._count % self.probe_every
+
     def maybe_probe(self, features, output):
         """Call after each real inference with its input and scalar output."""
-        self._count += 1
-        if self._count % self.probe_every:
-            return None
+        return self.probe(features, output) if self.due() else None
+
+    def probe(self, features, output):
+        """Perturb ``features``, re-run the model, publish the EWMA delta."""
         features = np.asarray(features, dtype=float)
         scale = self.noise_scale * (np.abs(features) + 1.0)
         noisy = features + self._rng.normal(0.0, 1.0, size=features.shape) * scale
@@ -153,9 +159,11 @@ class PolicyInstrumentation:
         self.meter.record_inference(inference_ns)
         if self.inputs is not None:
             self.inputs.observe(features)
-        if self.sensitivity is not None and output is not None:
+        sensitivity = self.sensitivity
+        # The skip test comes first: 15 of 16 inferences need no coercion.
+        if sensitivity is not None and output is not None and sensitivity.due():
             rows = np.atleast_2d(np.asarray(features, dtype=float))
-            self.sensitivity.maybe_probe(rows[0], output)
+            sensitivity.probe(rows[0], output)
 
     def record_gain(self, ns):
         self.meter.record_gain(ns)

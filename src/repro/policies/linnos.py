@@ -203,16 +203,17 @@ class LinnosPolicy:
         # If every replica looks slow, stay on the primary
         # (predicted_fast=False, so no false-submit accounting).
         primary = self._fallback(volume).index
-        count = len(volume.devices)
+        devices = volume.devices
+        count = len(devices)
         order = [(primary + offset) % count for offset in range(count)]
         features = np.array(
-            [volume.devices[i].features() for i in order], dtype=float
+            [devices[i].features() for i in order], dtype=float
         )
         probabilities = self.model.slow_probabilities(features)
         index = order[0]
         predicted_fast = False
         if self.selection == "argmin":
-            best = int(np.argmin(probabilities))
+            best = int(probabilities.argmin())
             if probabilities[best] < self.threshold:
                 index = order[best]
                 predicted_fast = True

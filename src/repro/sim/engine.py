@@ -3,7 +3,9 @@
 The engine owns a virtual clock (integer nanoseconds) and a priority queue of
 events.  Events scheduled for the same timestamp fire in the order they were
 scheduled (a monotonically increasing sequence number breaks ties), which
-keeps whole simulations bit-for-bit reproducible.
+keeps whole simulations bit-for-bit reproducible.  Heap entries are
+``(time, seq, event)`` tuples: ``seq`` is unique, so ``heapq`` orders them
+with C tuple comparison and never compares two events.
 
 Fractional timestamps are rounded *up* to the next nanosecond: an event may
 fire later than requested by under a nanosecond, never earlier.  (Truncating
@@ -56,11 +58,8 @@ class Event:
             # of the heap, so cancel-heavy workloads (periodic triggers being
             # re-armed, supervisor backoffs) don't accrete dead entries.
             heap = engine._heap
-            while heap and heap[0].cancelled:
+            while heap and heap[0][2].cancelled:
                 heapq.heappop(heap)
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self):
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
@@ -110,9 +109,9 @@ class Engine:
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         time = self._coerce_time(time)
-        self._seq += 1
-        event = Event(time, self._seq, callback, args, self)
-        heapq.heappush(self._heap, event)
+        seq = self._seq = self._seq + 1
+        event = Event(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
 
@@ -125,9 +124,9 @@ class Engine:
     def reschedule(self, event, time):
         """Re-arm a fired event at a new absolute time, reusing the object.
 
-        This is the allocation-free lane for periodic work (timer triggers):
-        the event must have fired — it is out of the heap — and keeps its
-        callback and args.  Ordering is identical to a fresh
+        This is the lane for periodic work (timer triggers) that builds no
+        new event: the event must have fired — it is out of the heap — and
+        keeps its callback and args.  Ordering is identical to a fresh
         :meth:`schedule_at` (a new sequence number is drawn).
         """
         if not event.fired or event.cancelled:
@@ -136,11 +135,11 @@ class Engine:
                 .format(event)
             )
         time = self._coerce_time(time)
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         event.time = time
-        event.seq = self._seq
+        event.seq = seq
         event.fired = False
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
 
@@ -151,17 +150,17 @@ class Engine:
     def peek(self):
         """Timestamp of the next pending event, or ``None`` if the queue is empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def step(self):
         """Fire the next event.  Returns ``False`` when the queue is empty."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self._pending -= 1
@@ -174,25 +173,33 @@ class Engine:
     def run(self, until=None):
         """Run until the queue drains, ``stop()`` is called, or ``until`` is reached.
 
-        When ``until`` is given the clock is advanced to exactly ``until`` at
-        the end of the run, even if the last event fired earlier.
+        When nothing is left to fire before ``until`` the clock is advanced
+        to exactly ``until``, even if the last event fired earlier.  A run
+        ended by ``stop()`` leaves the clock at the last fired event: events
+        still pending fire on the next ``run()``, not in its past.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        pop = heapq.heappop
         try:
             while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
+                # (A cancelled head past ``until`` ends the run too.)
+                if not heap or (until is not None and heap[0][0] > until):
+                    if until is not None and self._now < until:
+                        self._now = int(until)
                     break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                event = pop(heap)[2]
+                if event.cancelled:
+                    continue
+                self._pending -= 1
+                self._now = event.time
+                event.fired = True
+                event.callback(*event.args)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = int(until)
 
     def pending_events(self):
         """Number of pending (not cancelled, not fired) events.  O(1)."""

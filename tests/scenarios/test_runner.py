@@ -52,7 +52,10 @@ def test_runner_reports_scenario_errors():
     """A scenario that cannot complete lands in ``errors``, not a raise."""
     from repro.scenarios import get_scenario
 
-    spec = get_scenario("storage/quiet/clean")
+    # The pool polls every 50 ms and a worker that has already reported
+    # is never timed out, so the scenario must outlast several polls:
+    # this one runs ~0.5 s (storage/quiet/clean, ~45 ms, raced the poll).
+    spec = get_scenario("all-five/stress/clean")
     document = run_scenarios([spec], jobs=1, timeout_s=0.000001)
     assert document["matched"] == 0
     assert [error["name"] for error in document["errors"]] == [spec.name]

@@ -270,3 +270,139 @@ def test_reschedule_rejects_pending_and_cancelled_events(engine):
     pending.cancel()
     with pytest.raises(SimulationError):
         engine.reschedule(pending, 10)
+
+
+def test_stop_inside_run_until_does_not_advance_past_pending_events(engine):
+    # Pre-fix: run(until=100) set now=100 although the event at 20 was still
+    # pending, so the next run() fired it with the clock moving backwards and
+    # scheduling from inside it failed with "before now".
+    times = []
+
+    def late():
+        times.append(engine.now)
+        engine.schedule_at(25, times.append, "child")
+
+    engine.schedule(10, engine.stop)
+    engine.schedule(20, late)
+    engine.run(until=100)
+    assert engine.now == 10
+    assert engine.pending_events() == 1
+    engine.run(until=100)
+    assert times == [20, "child"]
+    assert engine.now == 100
+
+
+def test_run_until_still_advances_when_the_queue_drains_or_runs_ahead(engine):
+    engine.schedule(10, lambda: None)
+    engine.run(until=40)            # drained
+    assert engine.now == 40
+    engine.schedule_at(90, lambda: None)
+    cancelled = engine.schedule_at(95, lambda: None)
+    engine.run(until=60)            # next event is later than until
+    assert engine.now == 60
+    cancelled.cancel()
+    engine.run(until=92)
+    assert engine.now == 92 and engine.pending_events() == 0
+
+
+def test_seeded_operations_fire_in_reference_time_seq_order():
+    """Differential: the heap against ``sorted(key=(time, seq))``.
+
+    A few thousand seeded schedule / schedule_at / cancel / reschedule
+    operations, issued both up front and from inside callbacks.  The
+    reference is a plain list of ``(time, seq, label)`` kept alongside;
+    ``seq`` is this test's own operation counter, which orders same-time
+    events by scheduling order exactly as the engine promises to.
+    """
+    import random
+
+    from repro.sim.engine import Engine
+
+    rng = random.Random(2024)
+    engine = Engine()
+    live = {}        # label -> (time, seq) of every pending event
+    handles = {}     # label -> Event
+    fired = []       # labels, in firing order
+    expected = []    # labels, by repeatedly taking min(live)
+    spent = []       # fired events available to reschedule
+    counter = [0]
+
+    def note(label, time, event):
+        counter[0] += 1
+        live[label] = (time, counter[0])
+        handles[label] = event
+        assert engine.pending_events() == len(live)
+
+    def fire(label):
+        # The reference decides which event *should* be firing now.
+        want = min(live, key=live.get)
+        expected.append(want)
+        fired.append(label)
+        assert engine.now == live[want][0]
+        del live[want]
+        spent.append(label)
+        assert engine.pending_events() == len(live)
+        if rng.random() < 0.6:
+            operate(rng.randrange(1, 4))
+
+    def operate(count):
+        for _ in range(count):
+            roll = rng.random()
+            label = "e{}".format(counter[0] + 1)
+            if roll < 0.35:
+                delay = rng.choice([0, 0, 1, 5, 5, 17, rng.randrange(200)])
+                note(label, engine.now + delay,
+                     engine.schedule(delay, fire, label))
+            elif roll < 0.65:
+                time = engine.now + rng.choice([0, 3, 3, 40, rng.randrange(300)])
+                note(label, time, engine.schedule_at(time, fire, label))
+            elif roll < 0.8 and live:
+                victim = rng.choice(sorted(live))
+                handles[victim].cancel()
+                del live[victim]
+                assert engine.pending_events() == len(live)
+            elif spent:
+                reused = spent.pop(rng.randrange(len(spent)))
+                time = engine.now + rng.choice([0, 5, 5, rng.randrange(100)])
+                # A rescheduled event keeps its callback and args (its
+                # label) and draws a fresh sequence number.
+                note(reused, time, engine.reschedule(handles[reused], time))
+
+    operate(400)
+    horizon = 0
+    while len(fired) < 3000:
+        horizon += rng.randrange(1, 120)
+        engine.run(until=horizon)
+        assert engine.now == horizon
+        operate(rng.randrange(0, 8))
+    engine.run()
+    assert not live
+    assert fired == expected
+    assert engine.pending_events() == len(live)
+
+
+def test_every_schedule_passes_through_schedule_at():
+    # benchmarks/perf attributes event callbacks to layers by wrapping
+    # Engine.schedule_at at class level; schedule() bypassing it would blind
+    # the sim.engine.events count without failing anything else.
+    from repro.sim.engine import Engine
+
+    class Watched(Engine):
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def schedule_at(self, time, callback, *args):
+            self.seen.append((time, callback, args))
+            return super().schedule_at(time, callback, *args)
+
+    engine = Watched()
+    fired = []
+    engine.schedule(5, fired.append, "a")
+    engine.schedule(0, fired.append, "b")
+    engine.schedule_at(7, fired.append, "c")
+    engine.schedule(2.9, lambda: engine.schedule(1, fired.append, "d"))
+    engine.run()
+    assert fired == ["b", "d", "a", "c"]
+    assert [(time, args) for time, _, args in engine.seen] == [
+        (5, ("a",)), (0, ("b",)), (7, ("c",)), (2, ()), (3, ("d",))]

@@ -14,11 +14,6 @@ watch them:
 - ``hotpath_eval``        — compiled-rule evaluation alone, for the
   dominant rule shapes (``LOAD(k) < c``, rate comparison, a costly
   multi-load rule);
-- ``hotpath_vm_eval``     — the same rule shapes through the bytecode VM
-  backend, head to head against the closure backend (semantics pinned
-  equal, wall time reported per lane);
-- ``hotpath_batch_check`` — one compiled rule evaluated across thousands
-  of hosts: per-host scalar loop vs one columnar ``eval_columns`` pass;
 - ``hotpath_batch_ssd``   — the SSD completion ingest pipeline (store
   saves + metric records per I/O): scalar per-event path vs the batched
   columnar ingest lane, bit-identical end state.
@@ -337,168 +332,6 @@ def run_compiled_rule_eval(report=None):
     return metrics
 
 
-@scenario(cost=0.5, seed=65)
-def run_vm_rule_eval(report=None):
-    """The bytecode VM against the closure backend, per rule shape.
-
-    Deterministic gate metrics pin result and charged-ops parity between
-    the lanes; the wall-clock ratio rides under ``_info``.
-    """
-    from repro.core.expr import compile_to_vm
-    from repro.core.spec import parse_guardrail
-
-    store = FeatureStore()
-    store.save("io_latency_us", 120)
-    store.derive_rate("false_submit", window=1 * SECOND,
-                      name="false_submit.rate")
-    store.save("false_submit", 1)
-    for i in range(5):
-        store.save("m{}".format(i), i)
-
-    rows = []
-    metrics = {"iterations": EVAL_ITERS, "parity": True}
-    info = {}
-    for label, rule in RULE_SHAPES:
-        spec = parse_guardrail(_spec(
-            "vm_" + label, rule, "TIMER(start_time, 1ms)"))
-        compiled = GuardrailCompiler().compile(spec)
-        closure = compiled.closure_programs[0]
-        vm_program = compiled.vm_programs[0]
-
-        def eval_loop(_program):
-            def loop():
-                ctx = EvalContext(store, now=0)
-                result = None
-                for _ in range(EVAL_ITERS):
-                    ctx.ops = 0
-                    result = _program(ctx)
-                return result, ctx.ops
-            return loop
-
-        closure_s, (closure_result, closure_ops) = _best(eval_loop(closure))
-        vm_s, (vm_result, vm_ops) = _best(eval_loop(vm_program))
-        if closure_result != vm_result or closure_ops != vm_ops:
-            metrics["parity"] = False
-        metrics["{}_result".format(label)] = vm_result
-        metrics["{}_ops".format(label)] = vm_ops
-        info["{}_closure_ns".format(label)] = round(
-            closure_s / EVAL_ITERS * 1e9, 1)
-        info["{}_vm_ns".format(label)] = round(vm_s / EVAL_ITERS * 1e9, 1)
-        rows.append([label, info["{}_closure_ns".format(label)],
-                     info["{}_vm_ns".format(label)]])
-
-    metrics["_info"] = info
-    if report is not None:
-        report("hotpath_vm_eval", format_table(
-            ["shape", "closure ns / eval", "vm ns / eval"], rows,
-            title="Scalar rule eval: closure vs bytecode VM ({} evals)"
-            .format(EVAL_ITERS)))
-    return metrics
-
-
-BATCH_ROWS = 4096
-BATCH_RULE = ("LOAD(false_submit_rate) <= 0.05 "
-              "&& LOAD(io_latency_us) < 100000")
-
-
-class _RowStore:
-    """Minimal per-host store view for the scalar comparison lane."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values
-
-    def load(self, key, default=None):
-        return self.values.get(key, default)
-
-
-@scenario(cost=0.6, seed=66)
-def run_batch_check(report=None):
-    """One compiled rule across ``BATCH_ROWS`` hosts: scalar vs columnar."""
-    import random
-
-    import numpy as np
-
-    from repro.core.expr import compile_to_vm, eval_columns
-    from repro.core.spec import parse_guardrail
-
-    rng = random.Random(66)
-    rows = []
-    for _ in range(BATCH_ROWS):
-        values = {}
-        if rng.random() >= 0.05:  # 5% of hosts are missing the rate signal
-            values["false_submit_rate"] = round(rng.random() * 0.1, 6)
-        values["io_latency_us"] = round(rng.random() * 200000, 3)
-        rows.append(values)
-
-    spec = parse_guardrail(_spec(
-        "batch_check", BATCH_RULE, "TIMER(start_time, 1s)"))
-    compiled = GuardrailCompiler().compile(spec)
-    closure = compiled.closure_programs[0]
-    vm_program = compiled.vm_programs[0]
-
-    # Both lanes evaluate from pre-staged inputs: the scalar loop gets its
-    # per-host store views up front, the columnar pass its gathered
-    # columns.  The measured quantity is check *evaluation*, either way.
-    stores = [_RowStore(values) for values in rows]
-    loads = {
-        key: np.array([row.get(key, float("nan")) for row in rows],
-                      dtype=np.float64)
-        for key in vm_program.load_keys
-    }
-
-    def scalar_sweep():
-        verdicts = {"ok": 0, "violation": 0, "inconclusive": 0}
-        total_ops = 0
-        for store in stores:
-            ctx = EvalContext(store, now=0)
-            result = closure(ctx)
-            total_ops += ctx.ops
-            if result is None:
-                verdicts["inconclusive"] += 1
-            elif not result:
-                verdicts["violation"] += 1
-            else:
-                verdicts["ok"] += 1
-        return verdicts, total_ops
-
-    def columnar_sweep():
-        values, ops = eval_columns(vm_program, BATCH_ROWS, loads=loads)
-        nan = np.isnan(values)
-        return {
-            "ok": int(((values != 0) & ~nan).sum()),
-            "violation": int((values == 0).sum()),
-            "inconclusive": int(nan.sum()),
-        }, int(ops.sum())
-
-    scalar_s, (scalar_verdicts, scalar_ops) = _best(scalar_sweep)
-    columnar_s, (columnar_verdicts, columnar_ops) = _best(columnar_sweep)
-
-    metrics = {
-        "rows": BATCH_ROWS,
-        "ok": scalar_verdicts["ok"],
-        "violations": scalar_verdicts["violation"],
-        "inconclusive": scalar_verdicts["inconclusive"],
-        "total_ops": scalar_ops,
-        "parity": scalar_verdicts == columnar_verdicts
-        and scalar_ops == columnar_ops,
-        "_info": {
-            "scalar_ns_per_row": round(scalar_s / BATCH_ROWS * 1e9, 1),
-            "columnar_ns_per_row": round(columnar_s / BATCH_ROWS * 1e9, 1),
-            "speedup": round(scalar_s / columnar_s, 1),
-        },
-    }
-    if report is not None:
-        report("hotpath_batch_check", format_table(
-            ["lane", "ns / row", "speedup"],
-            [["scalar loop", metrics["_info"]["scalar_ns_per_row"], "1.0"],
-             ["columnar eval", metrics["_info"]["columnar_ns_per_row"],
-              metrics["_info"]["speedup"]]],
-            title="Batched rule check across {} hosts".format(BATCH_ROWS)))
-    return metrics
-
-
 SSD_EVENTS = 50_000
 SSD_BATCH = 4096
 
@@ -607,8 +440,6 @@ def scenarios():
         ("hotpath_function", run_function_trigger_check),
         ("hotpath_check", run_monitor_check),
         ("hotpath_eval", run_compiled_rule_eval),
-        ("hotpath_vm_eval", run_vm_rule_eval),
-        ("hotpath_batch_check", run_batch_check),
         ("hotpath_batch_ssd", run_batch_ssd_ingest),
     ]
 
@@ -658,25 +489,6 @@ def test_hotpath_eval(benchmark, report_sink):
     assert metrics["costly_result"] is not None
     # static_cost is an upper bound: runtime ops never exceed it.
     assert metrics["threshold_ops"] == 4
-
-
-def test_hotpath_vm_eval(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_vm_rule_eval, kwargs={"report": report_sink},
-        rounds=1, iterations=1)
-    assert metrics["parity"] is True
-    assert metrics["threshold_result"] is True
-    assert metrics["threshold_ops"] == 4
-
-
-def test_hotpath_batch_check(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_batch_check, kwargs={"report": report_sink},
-        rounds=1, iterations=1)
-    assert metrics["parity"] is True
-    assert metrics["ok"] + metrics["violations"] + metrics["inconclusive"] \
-        == BATCH_ROWS
-    assert metrics["inconclusive"] > 0  # the missing-signal hosts
 
 
 def test_hotpath_batch_ssd(benchmark, report_sink):

@@ -20,8 +20,7 @@ from repro.core.actions import (
     SaveAction,
 )
 from repro.core.errors import CompileError
-from repro.core.expr import EvalContext, compile_expression, compile_to_vm, static_cost
-from repro.core.expr.compile import _is_constant, fusion_params
+from repro.core.expr import EvalContext, compile_expression, static_cost
 from repro.core.monitor import GuardrailMonitor
 from repro.core.spec import ast as A
 from repro.core.spec import parse_guardrail
@@ -64,8 +63,7 @@ class CompiledGuardrail:
     """A verified, host-independent guardrail ready to instantiate."""
 
     def __init__(self, spec, rules, trigger_params, actions, verification,
-                 cooldown=0, aggregates=(), rule_lanes=(),
-                 closure_programs=(), vm_programs=()):
+                 cooldown=0, aggregates=()):
         self.spec = spec
         self.name = spec.name
         self.rules = rules                  # [(source, program, cost)]
@@ -76,13 +74,6 @@ class CompiledGuardrail:
         # [(function, source_key, arg, derived_name)] — derived keys the
         # monitor must ensure exist in the host's feature store.
         self.aggregates = list(aggregates)
-        # Per-rule execution lane ("closure" | "vm") plus both compiled
-        # backends, aligned with ``rules``.  The closure build is the
-        # reference implementation; the VM build additionally supports
-        # columnar batch evaluation (repro.core.expr.vm.eval_columns).
-        self.rule_lanes = list(rule_lanes) or ["closure"] * len(rules)
-        self.closure_programs = list(closure_programs)
-        self.vm_programs = list(vm_programs)
 
     def register_aggregates(self, store):
         """Idempotently create the derived keys this guardrail's rules use.
@@ -113,22 +104,13 @@ class CompiledGuardrail:
 class GuardrailCompiler:
     """Spec (text or AST) -> :class:`CompiledGuardrail`."""
 
-    LANES = ("auto", "closure", "vm")
-
-    def __init__(self, verifier_config=None, env=None, lane="auto"):
+    def __init__(self, verifier_config=None, env=None):
         self.verifier_config = (
             verifier_config if verifier_config is not None else VerifierConfig()
         )
         # Compile-time constant bindings available in trigger parameters and
         # rules, e.g. {'memory_limit': 1 << 30}.
         self.env = dict(env or {})
-        # Rule execution lane: "closure" and "vm" force a backend for every
-        # rule; "auto" picks per rule shape (see _select_lane).
-        if lane not in self.LANES:
-            raise CompileError(
-                "unknown rule lane {!r} (expected one of {})".format(
-                    lane, "/".join(self.LANES)))
-        self.lane = lane
 
     def compile(self, spec, cooldown=0):
         """Compile and verify one guardrail.
@@ -143,22 +125,12 @@ class GuardrailCompiler:
             raise CompileError("expected DSL text or a GuardrailSpec, got {!r}".format(spec))
 
         rules = []
-        rule_lanes = []
-        closure_programs = []
-        vm_programs = []
         aggregates = {}
         for rule in spec.rules:
             lowered = _lower_aggregates(rule.expression, aggregates)
-            closure = compile_expression(lowered)
-            vm_program = compile_to_vm(lowered)
-            cost = static_cost(lowered)
-            lane = self._select_lane(lowered)
-            program = closure if lane == "closure" else vm_program
             # Report the author's syntax (AVG(...)), evaluate the lowering.
-            rules.append((rule.to_source(), program, cost))
-            rule_lanes.append(lane)
-            closure_programs.append(closure)
-            vm_programs.append(vm_program)
+            rules.append((rule.to_source(), compile_expression(lowered),
+                          static_cost(lowered)))
 
         trigger_params = []
         timer_intervals = []
@@ -193,25 +165,7 @@ class GuardrailCompiler:
         )
         return CompiledGuardrail(spec, rules, trigger_params, actions,
                                  verification, cooldown=cooldown,
-                                 aggregates=list(aggregates.values()),
-                                 rule_lanes=rule_lanes,
-                                 closure_programs=closure_programs,
-                                 vm_programs=vm_programs)
-
-    def _select_lane(self, lowered):
-        """Pick the execution backend for one lowered rule expression.
-
-        Measured on the hot-path bench: a fused threshold (or folded
-        constant) runs ~2x faster as the single closure it compiles to,
-        while composite rules are within noise of the closure tree on the
-        VM — and the VM program is what the columnar batch lanes execute,
-        so "auto" sends every multi-node rule there.
-        """
-        if self.lane != "auto":
-            return self.lane
-        if _is_constant(lowered) or fusion_params(lowered) is not None:
-            return "closure"
-        return "vm"
+                                 aggregates=list(aggregates.values()))
 
     def _constant(self, expr, allow_start_time=False):
         """Evaluate a compile-time constant trigger parameter."""

@@ -1,19 +1,14 @@
 """Rule-expression compilation and evaluation.
 
-Two backends share one source language: the closure compiler
-(:func:`compile_expression`, the reference implementation) and the
-bytecode VM (:func:`compile_to_vm`), which adds a columnar batch
-evaluator (:func:`eval_columns`).
+:func:`compile_expression` compiles a rule into a tree of closures — the
+one way a rule is evaluated — and :func:`static_cost` bounds what that
+closure can charge.
 """
 
 from repro.core.expr.compile import EvalContext, compile_expression, static_cost
-from repro.core.expr.vm import VmProgram, compile_to_vm, eval_columns
 
 __all__ = [
     "EvalContext",
-    "VmProgram",
     "compile_expression",
-    "compile_to_vm",
-    "eval_columns",
     "static_cost",
 ]

@@ -76,14 +76,12 @@ def _is_constant(expr):
     return False
 
 
-def fold_constant_value(expr):
+def _fold_constant_value(expr):
     """Evaluate a constant subexpression once, at compile time.
 
     Returns ``(value, ops)`` where ``ops`` is exactly what the unfolded
-    tree would have charged at runtime.  Both expression backends (closure
-    and bytecode VM) fold through this single helper, so a folded constant
-    is one shared value/ops pair — overhead accounting, and with it every
-    deterministic benchmark metric, stays bit-identical across lanes.
+    tree would have charged at runtime, so folding never changes overhead
+    accounting.
     """
     program = _compile_node(expr)
     probe = EvalContext(None)
@@ -92,7 +90,7 @@ def fold_constant_value(expr):
 
 
 def _fold_constant(expr):
-    value, ops = fold_constant_value(expr)
+    value, ops = _fold_constant_value(expr)
 
     def folded(ctx, _value=value, _ops=ops):
         ctx.ops += _ops  # charge() inlined: this closure is the whole rule
@@ -209,39 +207,6 @@ _ARITHMETIC = {
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-def fusion_params(expr):
-    """Parameters for the fused ``LOAD(k) <cmp> const`` rule shape, or None.
-
-    Returns ``(key, const, op, pre, post, flipped, ordered_cmp,
-    const_dead)`` when ``expr`` is a threshold comparison between a LOAD
-    and a constant (either operand order).  Both backends — the fused
-    closure below and the bytecode VM's FUSED opcode — consume this one
-    helper, so the charge split around the (possibly fault-injected)
-    ``store.load`` is identical by construction.
-    """
-    if not isinstance(expr, A.BinaryOp) or expr.op not in _COMPARISONS:
-        return None
-    if isinstance(expr.left, A.Load) and _is_constant(expr.right):
-        load, const_expr, flipped = expr.left, expr.right, False
-    elif isinstance(expr.right, A.Load) and _is_constant(expr.left):
-        load, const_expr, flipped = expr.right, expr.left, True
-    else:
-        return None
-
-    const, const_ops = fold_constant_value(const_expr)
-    # Generic-path charge split around the store load: LOAD charges 2
-    # before touching the store; the constant's ops and the comparison's
-    # own op land after (or before, when the constant is the left operand).
-    pre = 2 if not flipped else const_ops + 2
-    post = const_ops + 1 if not flipped else 1
-    ordered_cmp = expr.op not in ("==", "!=")
-    # Ordering comparisons yield None (missing data) for non-numeric
-    # operands; a non-numeric constant can never produce a result.
-    const_dead = ordered_cmp and not isinstance(const, (int, float))
-    return (load.key, const, expr.op, pre, post, flipped, ordered_cmp,
-            const_dead)
-
-
 def _try_fuse_comparison(expr):
     """Fuse ``LOAD(k) <cmp> const`` (either order) into one closure.
 
@@ -252,13 +217,26 @@ def _try_fuse_comparison(expr):
     the ops charged before a (possibly fault-injected) ``store.load`` that
     raises mid-rule.
     """
-    params = fusion_params(expr)
-    if params is None:
+    if isinstance(expr.left, A.Load) and _is_constant(expr.right):
+        load, const_expr, flipped = expr.left, expr.right, False
+    elif isinstance(expr.right, A.Load) and _is_constant(expr.left):
+        load, const_expr, flipped = expr.right, expr.left, True
+    else:
         return None
-    key, const, op, pre, post, flipped, ordered_cmp, const_dead = params
-    fn = _ARITHMETIC[op]
 
-    def program(ctx, _key=key, _const=const, _fn=fn, _pre=pre, _post=post,
+    const, const_ops = _fold_constant_value(const_expr)
+    # Generic-path charge split around the store load: LOAD charges 2
+    # before touching the store; the constant's ops and the comparison's
+    # own op land after (or before, when the constant is the left operand).
+    pre = 2 if not flipped else const_ops + 2
+    post = const_ops + 1 if not flipped else 1
+    ordered_cmp = expr.op not in ("==", "!=")
+    # Ordering comparisons yield None (missing data) for non-numeric
+    # operands; a non-numeric constant can never produce a result.
+    const_dead = ordered_cmp and not isinstance(const, (int, float))
+    fn = _ARITHMETIC[expr.op]
+
+    def program(ctx, _key=load.key, _const=const, _fn=fn, _pre=pre, _post=post,
                 _flipped=flipped, _ordered=ordered_cmp, _dead=const_dead):
         # charge() is inlined (ctx.ops +=) — two method calls saved on the
         # hottest closure in the runtime; the split around the load is

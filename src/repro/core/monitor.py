@@ -127,10 +127,9 @@ class GuardrailMonitor:
                 # Crash-only: a rule program blowing up (corrupt store data,
                 # a broken compiled expression) is contained like missing
                 # data, counted, and escalated to the supervisor's breaker.
-                # Both rule backends (closure tree and bytecode VM) charge
-                # ctx.ops incrementally at identical evaluation points, so
-                # the partial charge_check below is lane-independent even
-                # when a fault-injected store.load raises mid-rule.
+                # Rule closures charge ctx.ops incrementally as they
+                # evaluate, so when a fault-injected store.load raises
+                # mid-rule the charge_check below bills the partial cost.
                 self.rule_crash_count += 1
                 charge_check(ctx.ops)
                 self.host.supervisor.record_rule_crash(self, error, now)

@@ -246,134 +246,6 @@ class SimulatedHost:
         return digest
 
 
-def columnar_fleet_check(hosts, guardrail=None, payload=None):
-    """Evaluate loaded guardrail rules across many hosts column-wise.
-
-    The fleet-scale half of the bytecode-VM lane: for each rule of each
-    loaded guardrail, the rule's feature-store loads are gathered into
-    float64 columns (one row per host; ``None`` loads become the NaN
-    missing-data sentinel) and the compiled bytecode runs *once* via
-    :func:`repro.core.expr.eval_columns` instead of once per host.
-
-    Verdicts use the monitor's mapping — ``None`` result → inconclusive,
-    falsy → violation, else ok — and per-host charged ops are returned
-    alongside, bit-equal to per-host scalar evaluation (pinned by
-    ``tests/fleet/test_columnar.py``).  Rules outside the columnar lane's
-    numeric contract (string constants, or a host store holding a
-    non-numeric value for a gathered key) fall back to per-host scalar
-    bytecode execution — same verdicts and ops, ``lane`` marked
-    ``"scalar"``.  Host state is never perturbed: the sweep only reads.
-
-    Returns ``{guardrail_name: [rule_entry, ...]}`` with one
-    ``{"source", "lane", "verdicts", "ops"}`` entry per rule; hosts must
-    agree on each guardrail's rule sources (uniform fleet version), else
-    :class:`FleetError`.
-    """
-    import math
-
-    import numpy as np
-
-    from repro.core.expr import EvalContext, eval_columns
-    from repro.core.expr.vm import OP_NAME, ColumnarError, execute
-
-    hosts = list(hosts)
-    if not hosts:
-        return {}
-    payload = payload or {}
-    n = len(hosts)
-    reference = hosts[0].kernel.guardrails
-    names = [guardrail] if guardrail is not None else reference.names()
-
-    results = {}
-    for name in names:
-        compiled = reference.get(name).compiled
-        sources = [source for source, _, _ in compiled.rules]
-        for host in hosts[1:]:
-            other = host.kernel.guardrails.get(name).compiled
-            if [source for source, _, _ in other.rules] != sources:
-                raise FleetError(
-                    "host {} disagrees on guardrail {!r} rules; columnar "
-                    "sweep needs a uniform fleet version".format(
-                        host.spec.host_id, name))
-
-        entries = []
-        for index, source in enumerate(sources):
-            program = compiled.vm_programs[index]
-            free_names = sorted({arg for op, arg in program.code
-                                 if op == OP_NAME})
-            loads, name_columns = {}, {}
-            numeric = program.columnar_safe
-            if numeric:
-                for key in set(program.load_keys):
-                    column = np.empty(n, dtype=np.float64)
-                    for row, host in enumerate(hosts):
-                        value = host.kernel.store.load(key)
-                        if isinstance(value, (int, float)):
-                            column[row] = float(value)
-                        elif value is None:
-                            column[row] = math.nan
-                        else:
-                            numeric = False  # out of contract: go scalar
-                            break
-                    if not numeric:
-                        break
-                    loads[key] = column
-            if numeric:
-                for identifier in free_names:
-                    column = np.empty(n, dtype=np.float64)
-                    for row, host in enumerate(hosts):
-                        ctx = EvalContext(host.kernel.store,
-                                          now=host.kernel.engine.now,
-                                          payload=payload)
-                        value = ctx.resolve(identifier)
-                        if isinstance(value, (int, float)):
-                            column[row] = float(value)
-                        elif value is None:
-                            column[row] = math.nan
-                        else:
-                            numeric = False
-                            break
-                    if not numeric:
-                        break
-                    name_columns[identifier] = column
-
-            if numeric:
-                try:
-                    values, ops = eval_columns(program, n, loads=loads,
-                                               names=name_columns)
-                except ColumnarError:
-                    numeric = False
-            if numeric:
-                verdicts = [
-                    "inconclusive" if math.isnan(value)
-                    else ("violation" if value == 0.0 else "ok")
-                    for value in values.tolist()
-                ]
-                entries.append({"source": source, "lane": "columnar",
-                                "verdicts": verdicts,
-                                "ops": ops.tolist()})
-                continue
-
-            # Scalar fallback: same bytecode, one host at a time.
-            verdicts, ops = [], []
-            for host in hosts:
-                ctx = EvalContext(host.kernel.store,
-                                  now=host.kernel.engine.now,
-                                  payload=payload)
-                result = execute(program.code, ctx)
-                ops.append(ctx.ops)
-                if result is None:
-                    verdicts.append("inconclusive")
-                elif not result:
-                    verdicts.append("violation")
-                else:
-                    verdicts.append("ok")
-            entries.append({"source": source, "lane": "scalar",
-                            "verdicts": verdicts, "ops": ops})
-        results[name] = entries
-    return results
-
-
 def _step_hosts(hosts, round_index, until_ns, directives):
     """Apply directives, advance, and digest one shard of hosts."""
     digests = []
@@ -558,5 +430,4 @@ __all__ = [
     "HostSpec",
     "STORAGE_POLICIES",
     "SimulatedHost",
-    "columnar_fleet_check",
 ]

@@ -22,7 +22,7 @@ Exactness contract (the "bugfix" half of this lane):
 
 Given those, final counters, series, histograms and derived-estimator
 state are bit-identical across batch sizes — pinned by the seeded
-cross-check in ``tests/kernel/test_batch_ingest.py``.
+cross-check in ``tests/kernel/storage/test_batch_ingest.py``.
 """
 
 

@@ -137,11 +137,6 @@ def _build_parser():
         if name in ("check", "inspect"):
             cmd.add_argument("--budget-ops", type=int, default=None,
                              help="override the per-rule instruction budget")
-            cmd.add_argument("--lane", choices=("auto", "closure", "vm"),
-                             default="auto",
-                             help="rule execution backend: auto picks per "
-                                  "rule shape (default), closure/vm force "
-                                  "one lane for every rule")
         if name == "inspect":
             cmd.add_argument("--json", action="store_true", dest="json_out",
                              help="print the structure as JSON instead of "
@@ -468,8 +463,7 @@ def _compiler(args):
         if budget < 1:
             raise UsageError("--budget-ops must be >= 1")
         config.max_rule_cost = budget
-    return GuardrailCompiler(verifier_config=config,
-                             lane=getattr(args, "lane", "auto"))
+    return GuardrailCompiler(verifier_config=config)
 
 
 def cmd_check(args, out):
@@ -491,10 +485,9 @@ def cmd_check(args, out):
             out.write("FAIL  {}: {}\n".format(spec.name, error))
             failures += 1
             continue
-        out.write("OK    {} ({} ops/check, ~{:.0f} ops/s, lanes: {})\n".format(
+        out.write("OK    {} ({} ops/check, ~{:.0f} ops/s)\n".format(
             spec.name, compiled.verification.total_cost,
-            compiled.verification.estimated_ops_per_second,
-            ",".join(compiled.rule_lanes)))
+            compiled.verification.estimated_ops_per_second))
     out.write("{} guardrail(s), {} failure(s)\n".format(len(specs), failures))
     return 1 if failures else 0
 
@@ -514,15 +507,13 @@ def _inspect_json(args, out, specs, compiler):
         try:
             compiled = compiler.compile(spec)
             costs = list(compiled.verification.rule_costs)
-            lanes = list(compiled.rule_lanes)
             entry["ops_per_check"] = compiled.verification.total_cost
         except GuardrailError as error:
             entry["verifier_error"] = str(error)
             costs = [None] * len(spec.rules)
-            lanes = [None] * len(spec.rules)
         entry["rules"] = [
-            {"source": rule.to_source(), "ops": cost, "lane": lane}
-            for rule, cost, lane in zip(spec.rules, costs, lanes)
+            {"source": rule.to_source(), "ops": cost}
+            for rule, cost in zip(spec.rules, costs)
         ]
         guardrails.append(entry)
     _json.dump({"guardrails": guardrails}, out, indent=2, sort_keys=True)
@@ -553,13 +544,11 @@ def cmd_inspect(args, out):
         try:
             compiled = compiler.compile(spec)
             costs = compiled.verification.rule_costs
-            lanes = compiled.rule_lanes
         except GuardrailError as error:
             out.write("  VERIFIER: {}\n".format(error))
             costs = [None] * len(spec.rules)
-            lanes = [None] * len(spec.rules)
-        for rule, cost, lane in zip(spec.rules, costs, lanes):
-            suffix = "" if cost is None else "  [{} ops, {}]".format(cost, lane)
+        for rule, cost in zip(spec.rules, costs):
+            suffix = "" if cost is None else "  [{} ops]".format(cost)
             out.write("  rule     {}{}\n".format(rule.to_source(), suffix))
         keys = sorted(rule_load_keys(spec))
         out.write("  reads    {}\n".format(", ".join(keys) if keys else "<none>"))

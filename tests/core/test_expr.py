@@ -1,13 +1,20 @@
 """Expression compilation: evaluation, missing-data semantics, cost."""
 
-import pytest
+import math
+import os
 
-from repro.core.errors import CompileError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.compiler import GuardrailCompiler
+from repro.core.errors import CompileError, VerifierError
 from repro.core.expr import EvalContext, compile_expression, static_cost
 from repro.core.featurestore import FeatureStore
 from repro.core.spec import ast as A
 from repro.core.spec.lexer import tokenize
 from repro.core.spec.parser import _Parser
+from repro.core.verifier import VerifierConfig
 
 
 def parse_expr(text):
@@ -299,3 +306,285 @@ class TestFusedComparisons:
         store.save("x", 5)
         value, _ = evaluate('LOAD(x) < "high"', store)
         assert value is None
+
+
+# -- static_cost == runtime charged ops, node kind by node kind --------------
+#
+# Inputs are chosen so no short-circuit fires: the static bound is then
+# exact.  Labels name the node kind (CONST(folded) is a folded constant,
+# FUSED the single-closure ``LOAD(k) <cmp> const`` threshold).
+
+
+def make_store(**values):
+    store = FeatureStore()
+    for key, value in values.items():
+        store._values[key] = value  # bypass save(): inject raw hazards
+        store._valid_keys.add(key)
+    return store
+
+
+OPCODE_CASES = [
+    ("CONST(folded)", "1 + 2 * 3", {}),
+    ("NAME", "n0 + 1", {}),
+    ("LOAD", "LOAD(k) + 0", {"k": 7}),
+    ("NEG", "-(LOAD(k))", {"k": 7}),
+    ("NOT", "!(LOAD(k))", {"k": 0}),
+    ("ARITH(+)", "LOAD(k) + LOAD(j)", {"k": 7, "j": 3}),
+    ("ARITH(cmp)", "LOAD(k) <= LOAD(j)", {"k": 7, "j": 3}),
+    ("EQ", "LOAD(k) == LOAD(j)", {"k": 7, "j": 3}),
+    ("DIV", "LOAD(k) / LOAD(j)", {"k": 7, "j": 2}),
+    ("AND", "LOAD(k) > 0 && LOAD(j) > 0", {"k": 7, "j": 3}),
+    ("OR", "LOAD(k) > 9 || LOAD(j) > 9", {"k": 7, "j": 3}),
+    ("ABS", "abs(LOAD(k))", {"k": -7}),
+    ("MINMAX", "min(LOAD(k), LOAD(j), 5)", {"k": 7, "j": 3}),
+    ("CLAMP", "clamp(LOAD(k), 0, 10)", {"k": 7}),
+    ("FUSED", "LOAD(k) <= 1", {"k": 7}),
+    ("FUSED(flipped)", "1 <= LOAD(k)", {"k": 7}),
+]
+
+
+@pytest.mark.parametrize("label,text,values",
+                         OPCODE_CASES, ids=[c[0] for c in OPCODE_CASES])
+def test_static_cost_equals_runtime_ops(label, text, values):
+    _, ctx = evaluate(text, make_store(**values), payload={"n0": 4})
+    assert ctx.ops == static_cost(parse_expr(text)), label
+
+
+@pytest.mark.parametrize("text,values,expected_ops", [
+    # && short-circuits on literal False: the right arm never runs.
+    ("false && LOAD(k) > 0", {"k": 7}, 2),
+    ("LOAD(k) > 9 && LOAD(j) > 0", {"k": 7, "j": 3}, 5),
+    # || short-circuits on a truthy left arm.
+    ("true || LOAD(k) > 0", {"k": 7}, 2),
+    ("LOAD(k) > 0 || LOAD(j) > 0", {"k": 7, "j": 3}, 5),
+])
+def test_short_circuit_ops_below_static_bound(text, values, expected_ops):
+    _, ctx = evaluate(text, make_store(**values))
+    assert ctx.ops == expected_ops
+    assert ctx.ops < static_cost(parse_expr(text))
+
+
+def test_numeric_zero_does_not_short_circuit_and():
+    # && short-circuits only on a literal bool False; a numeric 0 left arm
+    # still evaluates (and charges) the right arm.
+    _, ctx = evaluate("LOAD(k) && LOAD(j) > 0", make_store(k=0, j=3))
+    assert ctx.ops == 7  # 2 (load) + 1 (&&) + 4 (right arm): nothing skipped
+
+
+def test_rule_respects_verifier_budget():
+    compiler = GuardrailCompiler(
+        verifier_config=VerifierConfig(max_rule_cost=2))
+    with pytest.raises(VerifierError, match="budget"):
+        compiler.compile(
+            "guardrail g { trigger: { TIMER(start_time, 1s) }, "
+            "rule: { LOAD(a) <= 1 }, action: { REPORT() } }")
+
+
+# -- golden None/NaN matrix --------------------------------------------------
+
+NAN = float("nan")
+
+MATRIX = [
+    ("LOAD(m) + 1", {}, None),
+    ("LOAD(m) + 1", {"m": NAN}, None),
+    ("LOAD(m) <= 1", {}, None),
+    ("LOAD(m) <= 1", {"m": NAN}, None),
+    ("1 <= LOAD(m)", {"m": NAN}, None),
+    ("-(LOAD(m))", {}, None),
+    ("!(LOAD(m))", {}, None),
+    ("LOAD(m) == LOAD(m)", {}, None),
+    ("LOAD(m) / 2", {}, None),
+    ("2 / LOAD(z)", {"z": 0}, None),   # divide-by-zero reads as no-data
+    ("abs(LOAD(m))", {}, None),
+    ("min(LOAD(m), 1)", {}, None),
+    ("max(1, LOAD(m))", {"m": NAN}, None),
+    ("clamp(LOAD(m), 0, 10)", {}, None),
+    # Logical operators: False/True dominate missing data; otherwise
+    # missing data poisons the result.
+    ("LOAD(m) && true", {}, None),
+    ("true && LOAD(m)", {}, None),
+    ("LOAD(m) && false", {}, False),
+    ("false && LOAD(m)", {}, False),
+    ("LOAD(m) || true", {}, True),
+    ("true || LOAD(m)", {}, True),
+    ("LOAD(m) || false", {}, None),
+    ("false || LOAD(m)", {}, None),
+    # Type confusion reads as missing data (§4.2), not as a TypeError.
+    ("LOAD(s) + 1", {"s": "oops"}, None),
+    ("LOAD(s) <= 1", {"s": "oops"}, None),
+    ("-(LOAD(s))", {"s": "oops"}, None),
+    ("abs(LOAD(s))", {"s": "oops"}, None),
+    ("min(LOAD(s), 1)", {"s": "oops"}, None),
+    ("clamp(5, LOAD(s), 10)", {"s": "oops"}, None),
+    ("LOAD(s) / 2", {"s": "oops"}, None),
+]
+
+
+@pytest.mark.parametrize("text,values,expected", MATRIX,
+                         ids=["{}#{}".format(i, c[0])
+                              for i, c in enumerate(MATRIX)])
+def test_golden_none_nan_matrix(text, values, expected):
+    value, _ = evaluate(text, make_store(**values))
+    assert value is expected
+
+
+# -- §4.2 type-confusion pins ------------------------------------------------
+#
+# Each of these raised (crashed the rule) before the §4.2 sweep made type
+# confusion read as missing data.  Every operand is still evaluated, so
+# the rule charges its full static cost.
+
+
+def assert_missing(expr, store_values):
+    ctx = EvalContext(make_store(**store_values), now=17)
+    assert compile_expression(expr)(ctx) is None
+    assert ctx.ops == static_cost(expr)
+
+
+def test_negate_string_reads_as_missing_data():
+    # Was: TypeError("bad operand type for unary -: 'str'").
+    assert_missing(A.UnaryOp("-", A.Load("k0")), {"k0": "garbage"})
+
+
+def test_divide_string_reads_as_missing_data():
+    # Was: TypeError on str / int before the b == 0 probe.
+    assert_missing(
+        A.BinaryOp("/", A.Load("k0"), A.NumberLiteral(2)), {"k0": "garbage"})
+    # And the divisor side, which the zero probe itself crashed on.
+    assert_missing(
+        A.BinaryOp("/", A.NumberLiteral(2), A.Load("k0")), {"k0": "garbage"})
+
+
+def test_abs_string_reads_as_missing_data():
+    # Was: TypeError("bad operand type for abs(): 'str'").
+    assert_missing(A.Call("abs", [A.Load("k0")]), {"k0": "garbage"})
+
+
+def test_minmax_mixed_types_read_as_missing_data():
+    # Was: TypeError("'<' not supported between instances of ...").
+    assert_missing(
+        A.Call("min", [A.Load("k0"), A.NumberLiteral(3)]), {"k0": "garbage"})
+    assert_missing(
+        A.Call("max", [A.NumberLiteral(3), A.Load("k0")]), {"k0": [1, 2]})
+
+
+def test_clamp_mixed_types_read_as_missing_data():
+    # Was: TypeError comparing str bounds with numeric values.
+    assert_missing(
+        A.Call("clamp", [A.Load("k0"), A.NumberLiteral(0),
+                         A.NumberLiteral(10)]), {"k0": "garbage"})
+    assert_missing(
+        A.Call("clamp", [A.NumberLiteral(5), A.Load("k0"),
+                         A.NumberLiteral(10)]), {"k0": "garbage"})
+
+
+# -- property: crash-free, bounded, scalar-valued ----------------------------
+#
+# Random expressions over stores and payloads holding every §4.2 hazard
+# class: missing (absent key), NaN, type confusion (strings, lists), bools
+# and plain numbers.
+
+# CI runs the sweep at a bounded example count (RULE_FUZZ_EXAMPLES=60);
+# the default is the deep local budget.
+EXAMPLES = int(os.environ.get("RULE_FUZZ_EXAMPLES", "400"))
+
+KEYS = ("k0", "k1", "k2", "k3")
+NAMES = ("n0", "n1")
+
+scalars = st.one_of(
+    st.integers(min_value=-100, max_value=100),
+    st.sampled_from([0, 1, -1, 0.0, 0.5, -2.5, 100.0]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+              allow_infinity=False),
+)
+
+leaves = st.one_of(
+    scalars.map(A.NumberLiteral),
+    st.booleans().map(A.BoolLiteral),
+    st.sampled_from(["alpha", "beta"]).map(A.StringLiteral),
+    st.sampled_from(KEYS).map(A.Load),
+    st.sampled_from(NAMES).map(A.Name),
+)
+
+BINOPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
+
+
+def composites(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(BINOPS), children, children).map(
+            lambda t: A.BinaryOp(t[0], t[1], t[2])),
+        st.tuples(st.sampled_from(["-", "!"]), children).map(
+            lambda t: A.UnaryOp(t[0], t[1])),
+        children.map(lambda c: A.Call("abs", [c])),
+        st.tuples(st.sampled_from(["min", "max"]),
+                  st.lists(children, min_size=2, max_size=4)).map(
+            lambda t: A.Call(t[0], t[1])),
+        st.tuples(children, children, children).map(
+            lambda t: A.Call("clamp", [t[0], t[1], t[2]])),
+    )
+
+
+expressions = st.recursive(leaves, composites, max_leaves=12)
+
+hazards = st.one_of(
+    st.none(),  # key absent from the store
+    scalars,
+    st.just(math.nan),
+    st.booleans(),
+    st.sampled_from(["garbage", ""]),
+    st.just([1, 2]),
+)
+
+stores = st.fixed_dictionaries({key: hazards for key in KEYS})
+payloads = st.fixed_dictionaries({name: hazards for name in NAMES})
+
+RESULT_TYPES = (type(None), bool, int, float, str)
+
+
+def assert_rule_result(expr, value):
+    if isinstance(expr, (A.Load, A.Name)) and value == [1, 2]:
+        return  # a bare leaf hands the stored value through untouched
+    assert isinstance(value, RESULT_TYPES), \
+        "{} returned {!r}".format(expr.to_source(), value)
+
+
+class FaultyStore:
+    """A store whose ``load`` raises after ``budget`` successful calls."""
+
+    class Boom(RuntimeError):
+        pass
+
+    def __init__(self, values, budget):
+        self._values = values
+        self._budget = budget
+
+    def load(self, key, default=None):
+        if self._budget <= 0:
+            raise self.Boom(key)
+        self._budget -= 1
+        return self._values.get(key, default)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(expr=expressions, store_values=stores, payload=payloads)
+def test_rule_is_crash_free_and_bounded(expr, store_values, payload):
+    store = make_store(**{k: v for k, v in store_values.items()
+                          if v is not None})
+    ctx = EvalContext(store, now=17, payload=payload)
+    assert_rule_result(expr, compile_expression(expr)(ctx))
+    assert ctx.ops <= static_cost(expr), expr.to_source()
+
+
+@settings(max_examples=EXAMPLES // 2, deadline=None)
+@given(expr=expressions, store_values=stores, payload=payloads,
+       budget=st.integers(min_value=0, max_value=6))
+def test_load_fault_partial_charge_is_bounded(expr, store_values, payload,
+                                              budget):
+    values = {k: v for k, v in store_values.items() if v is not None}
+    ctx = EvalContext(FaultyStore(values, budget), now=17, payload=payload)
+    program = compile_expression(expr)
+    try:
+        assert_rule_result(expr, program(ctx))
+    except FaultyStore.Boom:
+        pass  # the injected fault is the only exception that may escape
+    assert ctx.ops <= static_cost(expr), expr.to_source()

@@ -52,33 +52,6 @@ def test_check_good_file(good_file):
     assert "2 guardrail(s), 0 failure(s)" in output
 
 
-def test_check_reports_lanes(good_file):
-    code, output = run(["check", good_file])
-    assert code == 0
-    # auto lane: fused threshold -> closure; composite rule -> vm.
-    assert "lanes: closure" in output
-    assert "lanes: vm" in output
-
-
-def test_check_lane_override(good_file):
-    code, output = run(["check", "--lane", "vm", good_file])
-    assert code == 0
-    assert "lanes: closure" not in output
-    code, output = run(["check", "--lane", "closure", good_file])
-    assert code == 0
-    assert "lanes: vm" not in output
-
-
-def test_inspect_lane_override_json(good_file):
-    import json
-
-    code, output = run(["inspect", "--json", "--lane", "vm", good_file])
-    assert code == 0
-    data = json.loads(output)
-    lanes = [rule["lane"] for g in data["guardrails"] for rule in g["rules"]]
-    assert lanes == ["vm", "vm"]
-
-
 def test_check_reports_parse_errors(tmp_path):
     path = tmp_path / "bad.grd"
     path.write_text(BAD_SYNTAX)
@@ -109,7 +82,7 @@ def test_inspect_shows_costs_and_read_set(good_file):
     code, output = run(["inspect", good_file])
     assert code == 0
     assert "guardrail a" in output
-    assert "[4 ops, closure]" in output  # LOAD(x) <= 1: fused threshold
+    assert "[4 ops]" in output  # LOAD(x) <= 1: fused threshold
     assert "reads    x" in output
     assert "reads    <none>" in output   # guardrail b reads payload only
     assert "REPLACE(slot.x, impl.y)" in output
@@ -126,7 +99,7 @@ def test_inspect_json_structure(good_file):
     first = data["guardrails"][0]
     assert first["reads"] == ["x"]
     assert first["rules"][0]["ops"] == 4
-    assert first["rules"][0]["lane"] == "closure"
+    assert sorted(first["rules"][0]) == ["ops", "source"]
     assert first["ops_per_check"] == 4
     assert first["actions"] == ["REPORT()"]
     assert data["guardrails"][1]["reads"] == []

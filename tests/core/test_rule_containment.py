@@ -1,11 +1,11 @@
-"""Rule-crash containment is lane-independent (closure vs bytecode VM).
+"""Rule-crash containment: pinned crash counts, charges and breaker timeline.
 
 The monitor's broad ``except Exception`` around ``program(ctx)`` is the
-§4.2 crash-only containment site.  Both rule backends charge ``ctx.ops``
-incrementally at identical evaluation points, so a store backend that
-raises mid-rule must leave *identical* observable state whichever lane
-compiled the rule: crash counters, partial overhead charges, breaker
-transitions (timing included), and supervisor stats.
+§4.2 crash-only containment site.  Rule closures charge ``ctx.ops``
+incrementally as they evaluate, so a store backend that raises mid-rule
+leaves a partial overhead charge behind; these scenarios pin the crash
+counters, charges, breaker transitions (timing included) and supervisor
+stats that result.
 """
 
 from repro.core.compiler import GuardrailCompiler
@@ -34,10 +34,16 @@ guardrail crashy {
 }
 """
 
+TRANSITIONS = [
+    (3 * SECOND, "closed", "open"),
+    (4 * SECOND, "open", "half_open"),
+    (5 * SECOND, "half_open", "closed"),
+]
 
-def run_crashing_host(lane, text=CRASHY):
+
+def run_crashing_host(text):
     host = MonitorHost()
-    monitor = GuardrailCompiler(lane=lane).compile(text).instantiate(host)
+    monitor = GuardrailCompiler().compile(text).instantiate(host)
     monitor.arm()
     host.store.save("ok", 1)
     inner_load, backend = host.store.load, {"broken": True}
@@ -75,21 +81,32 @@ def run_crashing_host(lane, text=CRASHY):
     }
 
 
-def test_breaker_and_charges_agree_across_lanes():
-    assert run_crashing_host("closure") == run_crashing_host("vm")
+def test_breaker_and_charges_are_pinned():
+    run = run_crashing_host(CRASHY)
+    assert run["mid"] == {"crashes": 3, "overhead_ns": 180,
+                          "breaker_state": "open", "enabled": False}
+    assert run["transitions"] == TRANSITIONS
+    assert run["breaker_state"] == "closed" and run["enabled"]
+    assert (run["crashes"], run["checks"], run["violations"],
+            run["inconclusive"], run["overhead_ns"]) == (3, 7, 0, 0, 460)
+    supervisor = run["supervisor"]
+    assert (supervisor["rule_crashes"], supervisor["action_crashes"],
+            supervisor["suppressed"]) == (3, 0, 3)
+    assert supervisor["breakers"]["crashy"]["trips"] == 1
 
 
-def test_mid_expression_crash_partial_charge_agrees_across_lanes():
-    closure = run_crashing_host("closure", COMPOSITE_CRASHY)
-    vm = run_crashing_host("vm", COMPOSITE_CRASHY)
-    assert closure == vm
-    assert closure["mid"]["crashes"] == 3  # the crash path actually ran
-    assert closure["mid"]["breaker_state"] == "open"
+def test_mid_expression_crash_partial_charge_is_pinned():
+    run = run_crashing_host(COMPOSITE_CRASHY)
+    assert run["mid"]["crashes"] == 3  # the crash path actually ran
+    assert run["mid"]["breaker_state"] == "open"
+    # Each crashed check bills the ops charged before the raising LOAD.
+    assert run["mid"]["overhead_ns"] == 315
+    assert run["overhead_ns"] == 775
+    assert run["transitions"] == TRANSITIONS
 
 
-def run_fault_injected_kernel(lane):
+def run_fault_injected_kernel():
     kernel = Kernel(seed=3)
-    kernel.guardrails.compiler = GuardrailCompiler(lane=lane)
     kernel.store.save("metric", 1)
     monitor = kernel.guardrails.load(CRASHY)
     plan = FaultPlan.from_flags(("corrupt@metric",), seed=1)
@@ -105,11 +122,8 @@ def run_fault_injected_kernel(lane):
     }
 
 
-def test_corrupt_injection_reads_as_missing_data_on_both_lanes():
-    closure = run_fault_injected_kernel("closure")
-    vm = run_fault_injected_kernel("vm")
-    assert closure == vm
+def test_corrupt_injection_reads_as_missing_data():
+    run = run_fault_injected_kernel()
     # NaN telemetry is contained as missing data, never as a crash.
-    assert closure["checks"] > 0
-    assert closure["inconclusive"] == closure["checks"]
-    assert closure["crashes"] == 0
+    assert run == {"checks": 5, "inconclusive": 5, "violations": 0,
+                   "crashes": 0, "overhead_ns": 350, "injected": 5}

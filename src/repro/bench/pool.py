@@ -1,4 +1,4 @@
-"""Generic sharded process pool shared by the bench and eval runners.
+"""Generic sharded process pool shared by the bench, eval and scenario runners.
 
 One worker *process* per task: a per-task timeout can kill a hung run
 without poisoning a shared pool, and a crashed interpreter (OOM,
@@ -8,20 +8,40 @@ Results travel over a pipe rather than a ``multiprocessing.Queue``:
 can never observe a dead child whose result is still stuck in a queue
 feeder thread.
 
-The pool knows nothing about benchmarks or eval episodes — callers hand
-it :class:`PoolTask` entries whose ``target`` is a picklable module-level
-callable ``target(*args, conn)`` that sends exactly one
-``(status, payload)`` tuple before exiting.  ``repro.bench.runner`` and
-``repro.eval.runner`` both schedule through here, so the supervision
-discipline (poll with deadline, retry-once on crash/timeout) is written
-once.
+The pool knows nothing about benchmarks, eval episodes or scenarios —
+callers hand it :class:`PoolTask` entries whose ``target`` is a picklable
+module-level ``target(*args) -> result``.  The pool's one child protocol
+(:func:`_child`) times the call and sends exactly one ``(status,
+payload)`` tuple: ``("ok", {"result", "wall_time_s"})`` or, for any
+exception, ``("error", {"error": <traceback>, "summary": "<Type>: <msg>",
+"wall_time_s"})``.  Supervision (poll with deadline, retry-once on
+crash/timeout) is written here once.
 """
 
 import multiprocessing
 import time
+import traceback
 
 DEFAULT_TIMEOUT_S = 300.0
 _POLL_S = 0.05
+
+
+def _child(target, args, conn):
+    """Child-process entry: run ``target(*args)``, send one outcome."""
+    started = time.perf_counter()
+    try:
+        result = target(*args)
+    except BaseException as exc:
+        conn.send(("error", {
+            "error": traceback.format_exc(),
+            "summary": "{}: {}".format(type(exc).__name__, exc),
+            "wall_time_s": time.perf_counter() - started,
+        }))
+    else:
+        conn.send(("ok", {"result": result,
+                          "wall_time_s": time.perf_counter() - started}))
+    finally:
+        conn.close()
 
 
 class PoolTask:
@@ -55,8 +75,8 @@ class _Job:
     def start(self, timeout_s):
         self.conn, child_conn = multiprocessing.Pipe(duplex=False)
         self.process = multiprocessing.Process(
-            target=self.task.target,
-            args=self.task.args + (child_conn,),
+            target=_child,
+            args=(self.task.target, self.task.args, child_conn),
             daemon=True)
         self.process.start()
         child_conn.close()
@@ -76,10 +96,10 @@ def run_pool(tasks, jobs=1, timeout_s=DEFAULT_TIMEOUT_S, progress=None):
     """Run tasks on up to ``jobs`` worker processes; return outcome dicts.
 
     Tasks start in list order.  Per-task failure policy: a status the
-    child itself reported (``"ok"``/``"error"`` by convention) is final
-    and recorded immediately; a crashed or timed-out worker is retried
-    once (``status="crash"``/``"timeout"`` if the retry also dies, with
-    the diagnostic under ``payload["error"]``).  The returned list is
+    child itself reported (``"ok"``, or ``"error"`` for an exception the
+    target raised) is final and recorded immediately; a crashed or
+    timed-out worker is retried once (``status="crash"``/``"timeout"`` if
+    the retry also dies, with the diagnostic under ``payload["error"]``).  The returned list is
     sorted by task id regardless of completion order, so merged output is
     canonical.
     """

@@ -17,15 +17,13 @@ past 2x versus ``--jobs 1``.
 import importlib.util
 import pathlib
 import sys
-import time
-import traceback
 
 from repro.bench.pool import DEFAULT_TIMEOUT_S, PoolTask, run_pool
-from repro.bench.results import INFO_KEY, git_sha, make_document, scenario
+from repro.bench.results import INFO_KEY, scenario
 
 
-class ScenarioSpec:
-    """One runnable scenario: where it lives and how to schedule it."""
+class BenchLane:
+    """One runnable bench lane: where it lives and how to schedule it."""
 
     def __init__(self, scenario_id, module_path, quick, cost, seed):
         self.id = scenario_id
@@ -78,7 +76,7 @@ def discover(bench_dir):
                     "duplicate scenario id {!r} in {} (also in {})".format(
                         scenario_id, path.name, seen[scenario_id]))
             seen[scenario_id] = path.name
-            specs.append(ScenarioSpec(
+            specs.append(BenchLane(
                 scenario_id, path,
                 quick=getattr(fn, "quick", True),
                 cost=getattr(fn, "cost", 1.0),
@@ -112,37 +110,23 @@ def _make_report_sink(out_dir):
     return emit
 
 
-def _worker(module_path, scenario_id, out_dir, conn):
-    """Child-process entry: run one scenario, ship (status, payload).
-
-    The result travels over a pipe rather than a ``multiprocessing.Queue``:
-    ``Pipe.send`` writes synchronously before the child exits, so the
-    parent can never observe a dead child whose result is still stuck in a
-    queue feeder thread.
-    """
-    try:
-        module = load_bench_module(module_path)
-        fn = dict(module.scenarios())[scenario_id]
-        started = time.perf_counter()
-        metrics = fn(report=_make_report_sink(out_dir))
-        wall = time.perf_counter() - started
-        if not isinstance(metrics, dict):
-            raise TypeError(
-                "scenario {!r} returned {!r}, expected a metric dict".format(
-                    scenario_id, type(metrics).__name__))
-        metrics = dict(metrics)
-        info = metrics.pop(INFO_KEY, None)
-        conn.send(("ok", {"metrics": metrics, "info": info,
-                          "wall_time_s": wall}))
-    except BaseException:
-        conn.send(("error", {"error": traceback.format_exc()}))
-    finally:
-        conn.close()
+def _run_lane(module_path, scenario_id, out_dir):
+    """Pool target: run one bench lane, return its metrics and info."""
+    module = load_bench_module(module_path)
+    fn = dict(module.scenarios())[scenario_id]
+    metrics = fn(report=_make_report_sink(out_dir))
+    if not isinstance(metrics, dict):
+        raise TypeError(
+            "scenario {!r} returned {!r}, expected a metric dict".format(
+                scenario_id, type(metrics).__name__))
+    metrics = dict(metrics)
+    info = metrics.pop(INFO_KEY, None)
+    return {"metrics": metrics, "info": info}
 
 
 def run_scenarios(specs, jobs=1, timeout_s=DEFAULT_TIMEOUT_S, out_dir=None,
                   progress=None):
-    """Run scenario specs on ``jobs`` worker processes; return result dicts.
+    """Run bench lanes on ``jobs`` worker processes; return result dicts.
 
     Per-scenario failure policy: a Python exception is deterministic and
     recorded as ``status="error"`` immediately; a crashed or timed-out
@@ -151,54 +135,40 @@ def run_scenarios(specs, jobs=1, timeout_s=DEFAULT_TIMEOUT_S, out_dir=None,
     completion order, so merged output is canonical.
     """
     by_id = {spec.id: spec for spec in specs}
-    tasks = [PoolTask(spec.id, _worker,
+    tasks = [PoolTask(spec.id, _run_lane,
                       (spec.module_path, spec.id, out_dir), cost=spec.cost)
              for spec in specs]  # already longest-first from discover()
     results = []
     for outcome in run_pool(tasks, jobs=jobs, timeout_s=timeout_s,
                             progress=progress):
         spec = by_id[outcome["id"]]
+        payload = outcome["payload"]
         result = {
             "id": spec.id,
             "module": spec.module,
             "seed": spec.seed,
             "attempts": outcome["attempts"],
             "status": outcome["status"],
-            "wall_time_s": None,
+            "wall_time_s": payload.get("wall_time_s"),
             "metrics": {},
             "info": None,
             "error": None,
         }
-        result.update(outcome["payload"])
+        if outcome["status"] == "ok":
+            result.update(payload["result"])
+        else:
+            result["error"] = payload["error"]
         results.append(result)
     return results
 
 
-def run_suite(bench_dir, jobs=1, quick=False, filter_expr=None,
-              timeout_s=DEFAULT_TIMEOUT_S, out_dir=None, progress=None):
-    """Discover, select, run, and merge into a BENCH.json document."""
-    specs = select(discover(bench_dir), quick=quick, filter_expr=filter_expr)
-    if not specs:
-        raise DiscoveryError(
-            "no scenarios match filter {!r}".format(filter_expr))
-    started = time.time()
-    scenario_results = run_scenarios(
-        specs, jobs=jobs, timeout_s=timeout_s, out_dir=out_dir,
-        progress=progress)
-    document = make_document(
-        scenario_results, tier="quick" if quick else "full", jobs=jobs,
-        filter_expr=filter_expr, sha=git_sha(), created_unix=started)
-    return document
-
-
 __all__ = [
     "DEFAULT_TIMEOUT_S",
+    "BenchLane",
     "DiscoveryError",
-    "ScenarioSpec",
     "discover",
     "load_bench_module",
     "run_scenarios",
-    "run_suite",
     "scenario",
     "select",
 ]

@@ -8,9 +8,6 @@ scheduling order, or worker count.  (Operational noise — attempts, wall
 times — goes to the progress stream, never into the document.)
 """
 
-import time
-import traceback
-
 from repro.bench.pool import DEFAULT_TIMEOUT_S, PoolTask, run_pool
 from repro.eval.dataset import load_dataset
 from repro.eval.score import score_results
@@ -18,73 +15,39 @@ from repro.eval.score import score_results
 #: Document format version, bumped with the result schema.
 DOCUMENT_SCHEMA = "repro-eval/v1"
 
-#: Relative cost estimates for longest-first pool packing.
-_HOST_COST = 0.1
+
+def _episode_payload(episode, gate_dict):
+    """Run one episode and return its raw outcome: the one kind dispatch.
+
+    Both the pool target and :func:`run_episode`; ``gate_dict`` is a
+    :meth:`GateConfig.to_dict` so the arguments pickle plainly.
+    """
+    if episode["kind"] == "host":
+        from repro.eval.episodes import run_host_episode
+
+        return run_host_episode(episode["family"], episode["regime"],
+                                episode["seed"])
+    if episode["kind"] == "scenario":
+        from repro.scenarios import get_scenario, run_scenario
+
+        return run_scenario(get_scenario(episode["scenario"]))
+    from repro.eval.episodes import run_fleet_episode
+    from repro.fleet.rollout import GateConfig
+
+    return run_fleet_episode(
+        episode["hosts"], episode["seed"], episode["fault_hosts"],
+        episode["fault_kind"], episode["tier"] == "quick",
+        gate=GateConfig(**gate_dict))
 
 
-def _fleet_cost(episode):
+def _cost(episode):
+    """Relative duration estimate for longest-first pool packing."""
+    if episode["kind"] == "host":
+        return 0.1
+    if episode["kind"] == "scenario":
+        return 0.3 if episode["tier"] == "quick" else 3.0
     scale = 1.0 if episode["tier"] == "quick" else 4.0
     return scale * episode["hosts"] / 4.0
-
-
-def _scenario_cost(episode):
-    return 0.3 if episode["tier"] == "quick" else 3.0
-
-
-def _host_worker(family, regime, seed, conn):
-    started = time.monotonic()
-    try:
-        from repro.eval.episodes import run_host_episode
-        outcome = run_host_episode(family, regime, seed)
-        conn.send(("ok", {"result": outcome,
-                          "wall_time_s": time.monotonic() - started}))
-    except Exception:
-        conn.send(("error", {"error": traceback.format_exc(limit=20),
-                             "wall_time_s": time.monotonic() - started}))
-
-
-def _fleet_worker(hosts, seed, fault_hosts, fault_kind, quick, gate_dict,
-                  conn):
-    started = time.monotonic()
-    try:
-        from repro.eval.episodes import run_fleet_episode
-        from repro.fleet.rollout import GateConfig
-        outcome = run_fleet_episode(hosts, seed, fault_hosts, fault_kind,
-                                    quick, gate=GateConfig(**gate_dict))
-        conn.send(("ok", {"result": outcome,
-                          "wall_time_s": time.monotonic() - started}))
-    except Exception:
-        conn.send(("error", {"error": traceback.format_exc(limit=20),
-                             "wall_time_s": time.monotonic() - started}))
-
-
-def _scenario_episode_worker(name, conn):
-    started = time.monotonic()
-    try:
-        from repro.scenarios import get_scenario, run_scenario
-        outcome = run_scenario(get_scenario(name))
-        conn.send(("ok", {"result": outcome,
-                          "wall_time_s": time.monotonic() - started}))
-    except Exception:
-        conn.send(("error", {"error": traceback.format_exc(limit=20),
-                             "wall_time_s": time.monotonic() - started}))
-
-
-def _task_for(episode, gate):
-    if episode["kind"] == "host":
-        return PoolTask(
-            episode["id"], _host_worker,
-            (episode["family"], episode["regime"], episode["seed"]),
-            cost=_HOST_COST)
-    if episode["kind"] == "scenario":
-        return PoolTask(
-            episode["id"], _scenario_episode_worker, (episode["scenario"],),
-            cost=_scenario_cost(episode))
-    return PoolTask(
-        episode["id"], _fleet_worker,
-        (episode["hosts"], episode["seed"], episode["fault_hosts"],
-         episode["fault_kind"], episode["tier"] == "quick", gate.to_dict()),
-        cost=_fleet_cost(episode))
 
 
 def select_episodes(episodes, tier="full", ids=None):
@@ -184,20 +147,10 @@ def run_episode(episode, gate=None):
     For callers that already live inside a pool worker (benchmarks) —
     pool children are daemonic and cannot spawn a nested pool.
     """
-    from repro.eval.episodes import run_fleet_episode, run_host_episode
     from repro.fleet.rollout import GateConfig
 
     gate = gate or GateConfig()
-    if episode["kind"] == "host":
-        payload = run_host_episode(episode["family"], episode["regime"],
-                                   episode["seed"])
-    elif episode["kind"] == "scenario":
-        from repro.scenarios import get_scenario, run_scenario
-        payload = run_scenario(get_scenario(episode["scenario"]))
-    else:
-        payload = run_fleet_episode(
-            episode["hosts"], episode["seed"], episode["fault_hosts"],
-            episode["fault_kind"], episode["tier"] == "quick", gate=gate)
+    payload = _episode_payload(episode, gate.to_dict())
     outcome = {"id": episode["id"], "status": "ok",
                "payload": {"result": payload}}
     return _merge_outcome(episode, outcome, gate)
@@ -218,7 +171,10 @@ def run_eval(dataset_path=None, tier="full", jobs=1, gate=None, ids=None,
     if not selected:
         raise ValueError("selection matched no episodes")
     by_id = {episode["id"]: episode for episode in selected}
-    tasks = [_task_for(episode, gate) for episode in selected]
+    gate_dict = gate.to_dict()
+    tasks = [PoolTask(episode["id"], _episode_payload, (episode, gate_dict),
+                      cost=_cost(episode))
+             for episode in selected]
     tasks.sort(key=lambda task: (-task.cost, task.id))
     outcomes = run_pool(tasks, jobs=jobs, timeout_s=timeout_s,
                         progress=progress)
@@ -231,7 +187,7 @@ def run_eval(dataset_path=None, tier="full", jobs=1, gate=None, ids=None,
             "dataset_version": header["dataset_version"],
         },
         "tier": tier,
-        "gate": gate.to_dict(),
+        "gate": gate_dict,
         "episodes": results,
         "scores": score_results(results),
     }

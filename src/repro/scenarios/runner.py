@@ -8,10 +8,8 @@ pin.  Wall-clock times live under the ``info`` key, which deterministic
 consumers drop.
 """
 
-import time
-
 from repro.bench.pool import PoolTask, run_pool
-from repro.scenarios.registry import all_scenarios, self_check
+from repro.scenarios.registry import all_scenarios, get_scenario, self_check
 from repro.scenarios.spec import run_scenario
 
 
@@ -25,26 +23,9 @@ def select_scenarios(filter_substring=None, quick=False):
     return specs
 
 
-def _scenario_worker(name, conn):
-    """Pool child: run one named scenario, ship its result dict."""
-    from repro.scenarios.registry import get_scenario
-
-    start = time.perf_counter()
-    try:
-        result = run_scenario(get_scenario(name))
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        import traceback
-
-        conn.send(("error", {
-            "error": "{}: {}".format(type(exc).__name__, exc),
-            "traceback": traceback.format_exc(),
-            "wall_time_s": time.perf_counter() - start,
-        }))
-        return
-    conn.send(("ok", {
-        "result": result,
-        "wall_time_s": time.perf_counter() - start,
-    }))
+def _run_named(name):
+    """Pool target: run one registered scenario by name."""
+    return run_scenario(get_scenario(name))
 
 
 def run_scenarios(specs, jobs=1, timeout_s=300.0, progress=None):
@@ -61,7 +42,7 @@ def run_scenarios(specs, jobs=1, timeout_s=300.0, progress=None):
     specs = sorted(specs, key=lambda spec: spec.name)
     # Longest-first packs the pool; ties broken by name for determinism.
     ordered = sorted(specs, key=lambda spec: (-spec.duration_s, spec.name))
-    tasks = [PoolTask(spec.name, _scenario_worker, (spec.name,),
+    tasks = [PoolTask(spec.name, _run_named, (spec.name,),
                       cost=spec.duration_s)
              for spec in ordered]
     outcomes = run_pool(tasks, jobs=jobs, timeout_s=timeout_s,
@@ -69,15 +50,16 @@ def run_scenarios(specs, jobs=1, timeout_s=300.0, progress=None):
 
     scenarios, errors, wall_times = [], [], {}
     for outcome in outcomes:
-        payload = outcome["payload"] or {}
+        payload = outcome["payload"]
         if outcome["status"] == "ok":
             scenarios.append(payload["result"])
-            wall_times[outcome["id"]] = round(
-                payload.get("wall_time_s", 0.0), 3)
+            wall_times[outcome["id"]] = round(payload["wall_time_s"], 3)
         else:
+            # ``Type: message`` for an exception; the pool's crash or
+            # timeout diagnostic otherwise.
             errors.append({"name": outcome["id"],
                            "status": outcome["status"],
-                           "error": payload.get("error", "")})
+                           "error": payload.get("summary", payload["error"])})
     matched = sum(1 for result in scenarios if result["matched"])
     mismatched = [result["name"] for result in scenarios
                   if not result["matched"]]

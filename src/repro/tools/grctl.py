@@ -3,73 +3,42 @@
 A guardrail file holds one or more ``guardrail { ... }`` blocks (the DSL of
 Listing 1).  Subcommands:
 
-- ``check``   — parse, validate, compile, and verify every guardrail;
-  exit 0 when all are loadable, 1 otherwise (CI gate for guardrail repos);
-- ``inspect`` — print each guardrail's triggers, rules with verified cost,
-  read set (the feature-store keys its rules LOAD), and actions;
-- ``fmt``     — canonically reformat the file via the AST printer
-  (``--check`` exits 1 without writing when the file is not canonical,
+- ``check``   — parse, validate, compile and verify every guardrail (the
+  CI gate for guardrail repos);
+- ``inspect`` — each guardrail's triggers, rules with verified cost, read
+  set (the feature-store keys its rules LOAD) and actions;
+- ``fmt``     — canonically reformat via the AST printer (``--check`` is
   the CI gate counterpart to ``--write``);
 - ``trace``   — run a traced scenario (or replay a saved JSONL trace) and
-  print a human summary: hottest hooks, per-guardrail check/violation/
-  action counters, and the violation/action timeline.  ``--jsonl`` and
-  ``--chrome`` export the event stream (the latter loads in Perfetto or
-  ``chrome://tracing``);
-- ``bench``   — run the ``benchmarks/bench_*.py`` scenario suite on a
-  process pool, write machine-readable ``BENCH.json``, and optionally
-  gate the numbers against a committed baseline (the CI perf gate; see
-  ``docs/benchmarking.md``);
-- ``faults``  — run a chaos scenario under a declarative fault plan
-  (``--plan faults.json`` or repeatable ``--fault KIND@TARGET[:...]``
-  flags) and print the containment story: injections, contained
-  crashes, circuit-breaker timeline, REPLACE fallbacks.  Exit 0 when
-  every fault was contained, 1 when one escaped (see ``docs/faults.md``);
-- ``fleet``   — stage a guardrail rollout across a sharded multi-host
-  fleet simulation with health gates and automatic rollback (see
-  ``docs/fleet.md``).  Exit 0 when the rollout completes, 1 when a gate
-  tripped and the fleet rolled back.  ``--out FILE`` saves the
-  deterministic JSON report alongside either rendering;
-- ``serve``   — run a rollout or steady-state soak as a *service*,
-  streaming every round's host digests into an append-only sqlite
-  results store with per-round checkpointing (``--resume`` continues an
-  interrupted run from its last committed round; see
-  ``docs/service.md``).  Exit codes mirror ``fleet``: 1 when the served
-  rollout rolled back;
-- ``query``   — typed queries over a results store (``status``,
-  ``stages``, ``trend``, ``gates``, ``rollbacks``, ``runs``,
-  ``report``, ``autopilot``), answerable mid-run; ``report``
-  regenerates the exact ``fleet --json`` report from stored rows and
-  ``autopilot`` answers "what did the autopilot change and why";
-- ``autopilot`` — the §3.3 closed loop: mine fleet digest history for a
-  tightened false-submit threshold, record the proposal (with
-  machine-readable provenance) in the results store, and deploy it
-  through the staged-rollout control plane (``propose`` records one
-  proposal without deploying, ``apply`` runs one observe→propose→deploy
-  iteration, ``loop`` iterates to convergence; see
-  ``docs/autopilot.md``).  Exit 0 when every deployed proposal
-  completed, 1 when a proposal tripped its health gates and was rolled
-  back;
-- ``dash``    — the fleet-health dashboard rendered from store queries
-  alone: terminal sparklines by default, a self-contained static HTML
-  page with ``--html``;
+  summarize it; ``--jsonl``/``--chrome`` export the event stream;
+- ``bench``   — the ``benchmarks/bench_*.py`` suite on a process pool into
+  ``BENCH.json``, optionally gated on a baseline (``docs/benchmarking.md``);
+- ``faults``  — a chaos scenario under a declarative fault plan and its
+  containment story; 1 when a fault escaped (``docs/faults.md``);
+- ``fleet``   — a staged guardrail rollout across a simulated fleet with
+  health gates; 1 when a gate tripped and it rolled back (``docs/fleet.md``);
+- ``serve``   — a rollout or soak streamed into a sqlite results store with
+  per-round checkpoints and ``--resume`` (``docs/service.md``);
+- ``query``   — typed queries over a results store; ``report`` regenerates
+  the exact ``fleet --json`` report, ``autopilot`` says what changed and why;
+- ``autopilot`` — the §3.3 closed loop: mine digest history for a tighter
+  threshold, record the proposal and deploy it through the rollout gates;
+  1 when a proposal was rolled back (``docs/autopilot.md``);
+- ``dash``    — the fleet-health dashboard from store queries alone
+  (terminal, or static HTML with ``--html``);
 - ``eval``    — guardrail-quality evaluation over the labelled episode
-  dataset (``eval/dataset.jsonl``): ``run`` executes episodes on a
-  process pool and scores verdicts against labels (optionally gated on
-  a committed baseline, the CI quality gate), ``calibrate`` sweeps
-  :class:`GateConfig` thresholds over recorded rollout measurements and
-  must reproduce the shipped defaults, ``diff`` compares a saved
-  results document to a baseline, and ``--check-dataset`` is the
-  dataset-integrity gate (see ``docs/eval.md``);
-- ``scenarios`` — the cross-policy scenario zoo (see
-  ``docs/scenarios.md``): ``list`` enumerates the registry, ``describe``
-  prints one spec, ``run`` executes a selection on a process pool and
-  compares every guardrail verdict against the registry's expectations.
-  Exit 0 when reality matches the registry, 1 on any mismatch or
-  scenario error.
+  dataset: ``run``, ``calibrate``, ``diff`` and ``--check-dataset``
+  (``docs/eval.md``);
+- ``scenarios`` — the cross-policy scenario zoo: ``list``, ``describe``,
+  ``run``; 1 on any verdict mismatch or error (``docs/scenarios.md``).
 
 Exit codes are uniform across subcommands: **0** success, **1** a check,
 gate, or scenario failed (the thing the subcommand exists to detect),
-**2** usage error (bad flags, unreadable input, unknown names).
+**2** usage error (bad flags, unreadable input, unknown names).  Every
+file-writing flag (``--out``, ``faults --json``, ``trace --jsonl`` /
+``--chrome``, ``dash --html``, ``fmt --write``) is opened before the run
+starts, so an unwritable output path exits 2 and never throws away a
+finished run.
 
 Usage::
 
@@ -109,6 +78,8 @@ Usage::
 """
 
 import argparse
+import contextlib
+import json
 import sys
 
 from repro.core.compiler import GuardrailCompiler
@@ -122,6 +93,67 @@ class UsageError(Exception):
     """Operator mistake (bad flag value, unreadable input): exit code 2."""
 
 
+def _shared(*names, **overrides):
+    """A fresh argparse parent holding the named shared options.
+
+    Every option more than one subcommand takes is defined here once;
+    ``overrides[name]`` replaces keyword arguments (a default, a help
+    line) for one subcommand.  Fresh per call, because argparse shares
+    action objects between a parent and its children.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+
+    def opt(name, **kwargs):
+        kwargs.update(overrides.get(name, {}))
+        return kwargs
+
+    if "jobs" in names:
+        parent.add_argument("--jobs", **opt(
+            "jobs", type=int, default=1, metavar="N",
+            help="worker processes; the output is identical for any "
+                 "value (default 1)"))
+    if "json" in names:
+        parent.add_argument("--json", **opt(
+            "json", action="store_true", dest="json_out",
+            help="print the deterministic JSON document instead of the "
+                 "human rendering"))
+    if "out" in names:
+        parent.add_argument("--out", **opt(
+            "out", metavar="FILE", default=None,
+            help="also write the JSON document to FILE"))
+    if "quick" in names:
+        parent.add_argument("--quick", **opt(
+            "quick", action="store_true",
+            help="smoke tier: the quick subset CI runs"))
+    if "seed" in names:
+        parent.add_argument("--seed", **opt(
+            "seed", type=int, default=42,
+            help="fleet seed; every host derives its own stream from it "
+                 "(default 42)"))
+    if "hosts" in names:
+        parent.add_argument("--hosts", **opt(
+            "hosts", type=int, default=8, metavar="N",
+            help="fleet size (default 8)"))
+    if "stages" in names:
+        parent.add_argument("--stages", **opt(
+            "stages", default="canary:1,25%,100%", metavar="PLAN",
+            help="rollout stages as label:size, P%%, or host counts "
+                 "(default canary:1,25%%,100%%)"))
+    if "store" in names:
+        parent.add_argument("--store", **opt(
+            "store", required=True, metavar="PATH",
+            help="sqlite results store"))
+    if "run" in names:
+        parent.add_argument("--run", **opt(
+            "run", type=int, default=None, metavar="ID",
+            help="run id (default: latest)"))
+    if "timeout" in names:
+        parent.add_argument("--timeout", **opt(
+            "timeout", type=float, default=300.0, metavar="S",
+            help="per-task timeout in seconds (default 300)"))
+    return parent
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="grctl", description="check/inspect/format guardrail files")
@@ -132,15 +164,13 @@ def _build_parser():
         ("inspect", "print structure, costs, and read sets"),
         ("fmt", "canonically reformat"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(
+            name, help=help_text,
+            parents=[_shared("json")] if name == "inspect" else [])
         cmd.add_argument("file", help="guardrail file (use '-' for stdin)")
         if name in ("check", "inspect"):
             cmd.add_argument("--budget-ops", type=int, default=None,
                              help="override the per-rule instruction budget")
-        if name == "inspect":
-            cmd.add_argument("--json", action="store_true", dest="json_out",
-                             help="print the structure as JSON instead of "
-                                  "the human table")
         if name == "fmt":
             cmd.add_argument("--write", action="store_true",
                              help="rewrite the file in place")
@@ -149,7 +179,9 @@ def _build_parser():
                                   "never writes")
 
     trace = sub.add_parser(
-        "trace", help="run a traced scenario or replay a JSONL trace")
+        "trace", help="run a traced scenario or replay a JSONL trace",
+        parents=[_shared("seed", seed={"default": 0,
+                                       "help": "sampling-phase seed"})])
     trace.add_argument("--scenario", choices=("quick", "fig2"),
                        default="quick",
                        help="quick: synthetic demo run (default); "
@@ -167,8 +199,6 @@ def _build_parser():
                             "(Perfetto / chrome://tracing)")
     trace.add_argument("--capacity", type=int, default=262144,
                        help="ring-buffer capacity in events")
-    trace.add_argument("--seed", type=int, default=0,
-                       help="sampling-phase seed")
     trace.add_argument("--categories", default=None,
                        help="comma-separated categories to enable "
                             "(default: all)")
@@ -179,24 +209,19 @@ def _build_parser():
                        help="rows per top-N table")
 
     bench = sub.add_parser(
-        "bench", help="run the benchmark suite sharded across processes")
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke tier: skip the model-training scenarios")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1)")
+        "bench", help="run the benchmark suite sharded across processes",
+        parents=[_shared("quick", "jobs", "out", "timeout", out={
+            "default": "BENCH.json",
+            "help": "merged results file (default: BENCH.json)"})])
     bench.add_argument("--filter", default=None, metavar="SUBSTR",
                        help="only scenarios whose id or module contains "
                             "SUBSTR")
     bench.add_argument("--bench-dir", default="benchmarks",
                        help="directory holding bench_*.py "
                             "(default: benchmarks)")
-    bench.add_argument("--out", default="BENCH.json", metavar="PATH",
-                       help="merged results file (default: BENCH.json)")
     bench.add_argument("--report-dir", default=None, metavar="DIR",
                        help="where per-scenario text artifacts go "
                             "(default: <bench-dir>/out)")
-    bench.add_argument("--timeout", type=float, default=300.0, metavar="S",
-                       help="per-scenario timeout in seconds (default 300)")
     bench.add_argument("--baseline", default=None, metavar="BENCH.json",
                        help="gate results against this baseline file")
     bench.add_argument("--gate", type=float, default=None, metavar="TOL",
@@ -206,7 +231,11 @@ def _build_parser():
                        help="list discovered scenarios and exit")
 
     faults = sub.add_parser(
-        "faults", help="run a chaos scenario under a declarative fault plan")
+        "faults", help="run a chaos scenario under a declarative fault plan",
+        parents=[_shared("seed", seed={
+            "default": None,
+            "help": "fault-plan RNG seed (default: the plan file's seed, "
+                    "else 0)"})])
     faults.add_argument("--list", action="store_true", dest="list_only",
                         help="list fault kinds and the --fault grammar, "
                              "then exit")
@@ -222,9 +251,6 @@ def _build_parser():
                         metavar="SPEC",
                         help="one fault as KIND@TARGET[:key=value,...]; "
                              "repeatable (mutually exclusive with --plan)")
-    faults.add_argument("--seed", type=int, default=None,
-                        help="fault-plan RNG seed (default: the plan "
-                             "file's seed, else 0)")
     faults.add_argument("--duration", type=float, default=None,
                         help="scenario duration in simulated seconds")
     faults.add_argument("--threshold", type=int, default=3, metavar="K",
@@ -238,37 +264,18 @@ def _build_parser():
                         help="write the run's full accounting as JSON")
 
     fleet = sub.add_parser(
-        "fleet", help="staged guardrail rollout across a simulated fleet")
-    fleet.add_argument("--hosts", type=int, default=8, metavar="N",
-                       help="fleet size (default 8)")
-    fleet.add_argument("--stages", default="canary:1,25%,100%",
-                       metavar="PLAN",
-                       help="rollout stages as label:size, P%%, or host "
-                            "counts (default canary:1,25%%,100%%)")
-    fleet.add_argument("--seed", type=int, default=42,
-                       help="fleet seed; every host derives its own "
-                            "stream from it (default 42)")
-    fleet.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes; the report is identical "
-                            "for any value (default 1)")
+        "fleet", help="staged guardrail rollout across a simulated fleet",
+        parents=[_shared("hosts", "stages", "seed", "jobs", "quick", "json",
+                         "out")])
     fleet.add_argument("--faults", type=int, default=0, metavar="N",
                        help="corrupt the false-submit signal on the "
                             "first N hosts from the baseline boundary on "
                             "(they land in the canary cohort)")
-    fleet.add_argument("--quick", action="store_true",
-                       help="smoke tier: fewer rounds, lighter workload")
-    fleet.add_argument("--json", action="store_true", dest="json_out",
-                       help="print the full rollout report as "
-                            "deterministic JSON")
-    fleet.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the deterministic JSON report "
-                            "to FILE (unwritable path: exit 2, before "
-                            "the run starts)")
 
     serve = sub.add_parser(
-        "serve", help="run a fleet scenario into a sqlite results store")
-    serve.add_argument("--store", required=True, metavar="PATH",
-                       help="sqlite results store (created if absent)")
+        "serve", help="run a fleet scenario into a sqlite results store",
+        parents=[_shared("store", "run", "hosts", "stages", "seed", "jobs",
+                         "quick")])
     serve.add_argument("--soak", action="store_true",
                        help="steady-state soak (no rollout): every host "
                             "bakes on v1 for --rounds rounds")
@@ -276,22 +283,9 @@ def _build_parser():
                        help="resume the latest interrupted run in the "
                             "store (or --run) from its last committed "
                             "round")
-    serve.add_argument("--run", type=int, default=None, metavar="ID",
-                       help="run id for --resume (default: latest)")
-    serve.add_argument("--hosts", type=int, default=8, metavar="N",
-                       help="fleet size (default 8)")
-    serve.add_argument("--stages", default="canary:1,25%,100%",
-                       metavar="PLAN",
-                       help="rollout stages (default canary:1,25%%,100%%)")
-    serve.add_argument("--seed", type=int, default=42,
-                       help="fleet seed (default 42)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1)")
     serve.add_argument("--faults", type=int, default=0, metavar="N",
                        help="corrupt the false-submit signal on the "
                             "first N hosts (rollout mode)")
-    serve.add_argument("--quick", action="store_true",
-                       help="smoke tier: fewer rounds, lighter workload")
     serve.add_argument("--rounds", type=int, default=30, metavar="N",
                        help="soak length in lockstep rounds (default 30)")
     serve.add_argument("--rate", type=int, default=400, metavar="IOS",
@@ -310,51 +304,32 @@ def _build_parser():
                             "(default 8)")
 
     query = sub.add_parser(
-        "query", help="typed queries over a results store")
+        "query", help="typed queries over a results store",
+        parents=[_shared("store", "run")])
     query.add_argument("name",
                        help="one of: status, stages, trend, gates, "
                             "rollbacks, runs, report, autopilot")
-    query.add_argument("--store", required=True, metavar="PATH",
-                       help="sqlite results store")
-    query.add_argument("--run", type=int, default=None, metavar="ID",
-                       help="run id (default: latest)")
 
     dash = sub.add_parser(
-        "dash", help="fleet-health dashboard rendered from a results store")
-    dash.add_argument("--store", required=True, metavar="PATH",
-                      help="sqlite results store")
-    dash.add_argument("--run", type=int, default=None, metavar="ID",
-                      help="run id (default: latest)")
+        "dash", help="fleet-health dashboard rendered from a results store",
+        parents=[_shared("store", "run")])
     dash.add_argument("--html", metavar="FILE", default=None,
                       help="write the static HTML page to FILE instead "
                            "of printing the terminal summary")
 
     ap = sub.add_parser(
         "autopilot",
-        help="closed-loop guardrail tightening through the rollout gates")
+        help="closed-loop guardrail tightening through the rollout gates",
+        parents=[_shared("store", "hosts", "stages", "seed", "jobs",
+                         "quick", "json", "out")])
     ap.add_argument("mode", choices=("propose", "apply", "loop"),
                     help="propose: observe and record one proposal "
                          "without deploying; apply: one observe->propose"
                          "->deploy iteration; loop: iterate to "
                          "convergence")
-    ap.add_argument("--store", required=True, metavar="PATH",
-                    help="sqlite results store (created if absent); "
-                         "observe/deploy runs and proposals land here")
-    ap.add_argument("--hosts", type=int, default=8, metavar="N",
-                    help="fleet size (default 8)")
-    ap.add_argument("--stages", default="canary:1,25%,100%", metavar="PLAN",
-                    help="deploy stages (default canary:1,25%%,100%%)")
-    ap.add_argument("--seed", type=int, default=42,
-                    help="fleet seed; each iteration derives its own "
-                         "streams from it (default 42)")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes; the report is identical for "
-                         "any value (default 1)")
     ap.add_argument("--iterations", type=int, default=3, metavar="N",
                     help="loop iteration cap (default 3; apply/propose "
                          "always run one)")
-    ap.add_argument("--quick", action="store_true",
-                    help="smoke tier: fewer rounds, lighter workload")
     ap.add_argument("--corrupt-at", type=int, default=None, metavar="I",
                     dest="corrupt_at",
                     help="inject the corrupt-telemetry fault into the "
@@ -372,16 +347,10 @@ def _build_parser():
                     dest="no_synthesize",
                     help="skip recording synthesized property-metric "
                          "proposals from the policy manifest")
-    ap.add_argument("--json", action="store_true", dest="json_out",
-                    help="print the full autopilot report as "
-                         "deterministic JSON")
-    ap.add_argument("--out", metavar="FILE", default=None,
-                    help="also write the deterministic JSON report to "
-                         "FILE (unwritable path: exit 2, before the "
-                         "run starts)")
 
     ev = sub.add_parser(
-        "eval", help="guardrail-quality eval over the labelled dataset")
+        "eval", help="guardrail-quality eval over the labelled dataset",
+        parents=[_shared("quick", "jobs", "timeout", "json", "out")])
     ev.add_argument("mode", nargs="?", choices=("run", "calibrate", "diff"),
                     help="run: execute episodes and score them; "
                          "calibrate: sweep gate thresholds over recorded "
@@ -396,20 +365,9 @@ def _build_parser():
     ev.add_argument("--dataset", metavar="PATH", default=None,
                     help="episode dataset "
                          "(default: the in-repo eval/dataset.jsonl)")
-    ev.add_argument("--quick", action="store_true",
-                    help="run only quick-tier episodes (the CI smoke set)")
-    ev.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes; the document is identical "
-                         "for any value (default 1)")
-    ev.add_argument("--timeout", type=float, default=300.0, metavar="S",
-                    help="per-episode timeout in seconds (default 300)")
     ev.add_argument("--id", action="append", default=[], dest="ids",
                     metavar="EPISODE",
                     help="run only this episode id; repeatable")
-    ev.add_argument("--json", action="store_true", dest="json_out",
-                    help="print the deterministic results document as JSON")
-    ev.add_argument("--out", metavar="FILE", default=None,
-                    help="also write the document to FILE")
     ev.add_argument("--baseline", metavar="FILE", default=None,
                     help="for run/diff: gate per-episode correctness "
                          "against this committed results document")
@@ -419,7 +377,8 @@ def _build_parser():
 
     sc = sub.add_parser(
         "scenarios",
-        help="the cross-policy scenario zoo: list, describe, run")
+        help="the cross-policy scenario zoo: list, describe, run",
+        parents=[_shared("quick", "jobs", "timeout", "json", "out")])
     sc.add_argument("mode", choices=("list", "run", "describe"),
                     help="list: enumerate registered scenarios; describe: "
                          "print one scenario's full spec; run: execute a "
@@ -429,40 +388,121 @@ def _build_parser():
                          "restricts the selection to that one scenario)")
     sc.add_argument("--filter", default=None, metavar="SUBSTR",
                     help="only scenarios whose name contains SUBSTR")
-    sc.add_argument("--quick", action="store_true",
-                    help="only quick-tier scenarios (drops the long "
-                         "feedback pair; the CI smoke set)")
-    sc.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes; the document is identical "
-                         "for any value (default 1)")
-    sc.add_argument("--timeout", type=float, default=300.0, metavar="S",
-                    help="per-scenario timeout in seconds (default 300)")
-    sc.add_argument("--json", action="store_true", dest="json_out",
-                    help="print the deterministic results document as JSON")
-    sc.add_argument("--out", metavar="FILE", default=None,
-                    help="also write the full document (including timing "
-                         "info) to FILE")
     return parser
+
+
+# -- the one output/exit layer ------------------------------------------------
+
+
+def _dumps(document):
+    """The one JSON encoding of every document, on stdout and in files."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def _usage_errors(*error_types):
+    """Map library errors of ``error_types`` (operator mistakes) to exit 2."""
+    try:
+        yield
+    except error_types as error:
+        raise UsageError(str(error)) from error
+
+
+@contextlib.contextmanager
+def _reading(path, what=None):
+    """Map an unreadable input file to exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError("cannot read {}{!r}: {}".format(
+            what + " " if what else "", path, exc.strerror or exc)) from exc
+
+
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open every file a command writes before the command does any work.
+
+    Yields one handle per path (``None`` for an unset flag).  An
+    unwritable path exits 2 before the run starts rather than throwing a
+    traceback — and the finished run — away after it.
+    """
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path in paths:
+            try:
+                handles.append(None if path is None
+                               else stack.enter_context(open(path, "w")))
+            except OSError as exc:
+                raise UsageError("cannot write {!r}: {}".format(
+                    path, exc.strerror or exc)) from exc
+        yield handles
+
+
+def _emit(out, document, render, json_out=False, handle=None, wrote=None,
+          shown=None):
+    """JSON to the ``--out`` handle, then JSON or ``render`` to stdout.
+
+    ``shown`` is what ``--json`` prints when it differs from the file
+    document; ``wrote`` names the file in the human ``wrote … to`` line.
+    """
+    if handle is not None:
+        handle.write(_dumps(document))
+    if json_out:
+        out.write(_dumps(document if shown is None else shown))
+        return
+    render(out, document)
+    if handle is not None and wrote is not None:
+        out.write("wrote {} to {}\n".format(wrote, handle.name))
+
+
+def _at_least(args, floor, *flags):
+    """Exit 2 on the first set ``flags`` value below ``floor``."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < floor:
+            raise UsageError("{} must be >= {}".format(flag, floor))
+
+
+def _positive(args, *flags):
+    """Exit 2 on the first set ``flags`` value that is not positive."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value <= 0:
+            raise UsageError("{} must be positive".format(flag))
+
+
+def _check_fleet_flags(args):
+    """The size checks fleet, serve and autopilot share."""
+    _at_least(args, 1, "--hosts", "--jobs")
+    faults = getattr(args, "faults", 0)
+    if faults < 0 or faults > args.hosts:
+        raise UsageError("--faults must be between 0 and --hosts")
+
+
+def _check_stages(args):
+    from repro.fleet.rollout import parse_stages
+
+    with _usage_errors(ValueError):
+        parse_stages(args.stages, args.hosts)
+
+
+# -- subcommands --------------------------------------------------------------
+# Each imports its subsystem inside the function: `check`/`fmt` must stay
+# fast and free of kernel/policy (numpy) imports.
 
 
 def _read(path):
     if path == "-":
         return sys.stdin.read()
-    try:
-        with open(path) as handle:
-            return handle.read()
-    except OSError as exc:
-        raise UsageError("cannot read {!r}: {}".format(
-            path, exc.strerror or exc))
+    with _reading(path), open(path) as handle:
+        return handle.read()
 
 
 def _compiler(args):
     config = VerifierConfig()
-    budget = getattr(args, "budget_ops", None)
-    if budget is not None:
-        if budget < 1:
-            raise UsageError("--budget-ops must be >= 1")
-        config.max_rule_cost = budget
+    _at_least(args, 1, "--budget-ops")
+    if args.budget_ops is not None:
+        config.max_rule_cost = args.budget_ops
     return GuardrailCompiler(verifier_config=config)
 
 
@@ -492,10 +532,8 @@ def cmd_check(args, out):
     return 1 if failures else 0
 
 
-def _inspect_json(args, out, specs, compiler):
-    """``inspect --json``: the same structure, machine-readable."""
-    import json as _json
-
+def _inspect_document(specs, compiler):
+    """Each guardrail's triggers, rules with verified cost, reads, actions."""
     guardrails = []
     for spec in specs:
         entry = {
@@ -516,9 +554,25 @@ def _inspect_json(args, out, specs, compiler):
             for rule, cost in zip(spec.rules, costs)
         ]
         guardrails.append(entry)
-    _json.dump({"guardrails": guardrails}, out, indent=2, sort_keys=True)
-    out.write("\n")
-    return 0
+    return {"guardrails": guardrails}
+
+
+def _render_inspect(out, document):
+    for entry in document["guardrails"]:
+        out.write("guardrail {}\n".format(entry["name"]))
+        for trigger in entry["triggers"]:
+            out.write("  trigger  {}\n".format(trigger))
+        if "verifier_error" in entry:
+            out.write("  VERIFIER: {}\n".format(entry["verifier_error"]))
+        for rule in entry["rules"]:
+            suffix = "" if rule["ops"] is None else "  [{} ops]".format(
+                rule["ops"])
+            out.write("  rule     {}{}\n".format(rule["source"], suffix))
+        out.write("  reads    {}\n".format(
+            ", ".join(entry["reads"]) or "<none>"))
+        for action in entry["actions"]:
+            out.write("  action   {}\n".format(action))
+        out.write("\n")
 
 
 def cmd_inspect(args, out):
@@ -526,35 +580,12 @@ def cmd_inspect(args, out):
     try:
         specs = parse_guardrails(text)
     except GuardrailError as error:
-        if args.json_out:
-            import json as _json
-
-            _json.dump({"error": str(error)}, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("PARSE ERROR: {}\n".format(error))
+        _emit(out, {"error": str(error)},
+              lambda out, _: out.write("PARSE ERROR: {}\n".format(error)),
+              args.json_out)
         return 1
-    compiler = _compiler(args)
-    if args.json_out:
-        return _inspect_json(args, out, specs, compiler)
-    for spec in specs:
-        out.write("guardrail {}\n".format(spec.name))
-        for trigger in spec.triggers:
-            out.write("  trigger  {}\n".format(trigger.to_source()))
-        try:
-            compiled = compiler.compile(spec)
-            costs = compiled.verification.rule_costs
-        except GuardrailError as error:
-            out.write("  VERIFIER: {}\n".format(error))
-            costs = [None] * len(spec.rules)
-        for rule, cost in zip(spec.rules, costs):
-            suffix = "" if cost is None else "  [{} ops]".format(cost)
-            out.write("  rule     {}{}\n".format(rule.to_source(), suffix))
-        keys = sorted(rule_load_keys(spec))
-        out.write("  reads    {}\n".format(", ".join(keys) if keys else "<none>"))
-        for action in spec.actions:
-            out.write("  action   {}\n".format(action.to_source()))
-        out.write("\n")
+    _emit(out, _inspect_document(specs, _compiler(args)), _render_inspect,
+          args.json_out)
     return 0
 
 
@@ -574,7 +605,7 @@ def cmd_fmt(args, out):
         out.write("would reformat {}\n".format(args.file))
         return 1
     if args.write and args.file != "-":
-        with open(args.file, "w") as handle:
+        with _outputs(args.file) as (handle,):
             handle.write(formatted)
     else:
         out.write(formatted)
@@ -596,31 +627,45 @@ def _parse_sample(spec):
     return out
 
 
+def _fig2_model(out):
+    from repro.bench.scenarios import train_default_linnos_model
+
+    out.write("training the LinnOS model (fig2 scenario)...\n")
+    return train_default_linnos_model(seed=1, train_seconds=12)
+
+
+def _run_traced(args, out, categories, sample):
+    """Run the chosen scenario under a tracer; (events, summary)."""
+    from repro.bench import scenarios
+    from repro.trace import summarize_tracer, tracing
+
+    with tracing(capacity=args.capacity, seed=args.seed,
+                 categories=categories, sample=sample) as tracer:
+        if args.scenario == "fig2":
+            scenarios.run_figure2_scenario(
+                _fig2_model(out), "guarded", seed=2,
+                duration_s=int(args.duration or 16))
+        else:
+            scenarios.run_trace_demo_scenario(
+                duration_s=int(args.duration or 4))
+    return tracer.events(), summarize_tracer(tracer)
+
+
 def cmd_trace(args, out):
-    # Scenario imports are deferred: `check`/`fmt` must stay fast and free
-    # of kernel/policy (numpy) imports.
     from repro.trace import (
+        CATEGORIES,
         read_jsonl,
         render_summary,
-        save_chrome_trace,
-        save_jsonl,
         summarize_events,
-        summarize_tracer,
-        tracing,
+        write_chrome_trace,
+        write_jsonl,
     )
 
-    if args.duration is not None and args.duration <= 0:
-        raise UsageError("--duration must be positive")
+    _positive(args, "--duration")
     if args.replay is not None:
-        try:
+        with _reading(args.replay, "trace"):
             events = read_jsonl(args.replay)
-        except OSError as exc:
-            raise UsageError("cannot read trace {!r}: {}".format(
-                args.replay, exc.strerror or exc))
-        summary = summarize_events(events)
     else:
-        from repro.trace import CATEGORIES
-
         categories = None
         if args.categories:
             categories = [c.strip() for c in args.categories.split(",") if c.strip()]
@@ -630,57 +675,39 @@ def cmd_trace(args, out):
                 raise UsageError(
                     "unknown trace category {!r}; known: {}".format(
                         name, ", ".join(CATEGORIES)))
-        with tracing(capacity=args.capacity, seed=args.seed,
-                     categories=categories, sample=sample) as tracer:
-            if args.scenario == "fig2":
-                from repro.bench.scenarios import (
-                    run_figure2_scenario,
-                    train_default_linnos_model,
-                )
-
-                out.write("training the LinnOS model (fig2 scenario)...\n")
-                model = train_default_linnos_model(seed=1, train_seconds=12)
-                run_figure2_scenario(
-                    model, "guarded", seed=2,
-                    duration_s=int(args.duration or 16))
-            else:
-                from repro.bench.scenarios import run_trace_demo_scenario
-
-                run_trace_demo_scenario(duration_s=int(args.duration or 4))
-        events = tracer.events()
-        summary = summarize_tracer(tracer)
-    if args.jsonl:
-        count = save_jsonl(events, args.jsonl)
-        out.write("wrote {} event(s) to {}\n".format(count, args.jsonl))
-    if args.chrome:
-        save_chrome_trace(events, args.chrome)
-        out.write("wrote Chrome trace to {} "
-                  "(open in Perfetto or chrome://tracing)\n".format(args.chrome))
+    with _outputs(args.jsonl, args.chrome) as (jsonl, chrome):
+        if args.replay is not None:
+            summary = summarize_events(events)
+        else:
+            events, summary = _run_traced(args, out, categories, sample)
+        if jsonl is not None:
+            count = write_jsonl(events, jsonl)
+            out.write("wrote {} event(s) to {}\n".format(count, args.jsonl))
+        if chrome is not None:
+            write_chrome_trace(events, chrome)
+            out.write("wrote Chrome trace to {} (open in Perfetto or "
+                      "chrome://tracing)\n".format(args.chrome))
     out.write(render_summary(summary, top=args.top))
     out.write("\n")
     return 0
 
 
 def cmd_bench(args, out):
-    # Deferred: keep `check`/`fmt` startup free of bench-module imports.
     import pathlib
+    import time
 
     from repro.bench import results as bench_results
     from repro.bench import runner as bench_runner
 
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+    _at_least(args, 1, "--jobs")
     if args.gate is not None and args.baseline is None:
         raise UsageError("--gate requires --baseline")
-    if args.timeout <= 0:
-        raise UsageError("--timeout must be positive")
+    _positive(args, "--timeout")
 
-    try:
+    with _usage_errors(bench_runner.DiscoveryError):
         specs = bench_runner.select(
             bench_runner.discover(args.bench_dir),
             quick=args.quick, filter_expr=args.filter)
-    except bench_runner.DiscoveryError as exc:
-        raise UsageError(str(exc))
     if not specs:
         raise UsageError(
             "no scenarios match filter {!r}".format(args.filter))
@@ -695,36 +722,34 @@ def cmd_bench(args, out):
 
     baseline = None
     if args.baseline is not None:
-        try:
-            baseline = bench_results.load_document(args.baseline)
-        except OSError as exc:
-            raise UsageError("cannot read baseline {!r}: {}".format(
-                args.baseline, exc.strerror or exc))
-        except ValueError as exc:
-            raise UsageError("bad baseline {!r}: {}".format(
-                args.baseline, exc))
+        with _reading(args.baseline, "baseline"):
+            try:
+                baseline = bench_results.load_document(args.baseline)
+            except ValueError as exc:
+                raise UsageError("bad baseline {!r}: {}".format(
+                    args.baseline, exc))
 
     report_dir = args.report_dir
     if report_dir is None:
         report_dir = str(pathlib.Path(args.bench_dir) / "out")
 
-    import time as _time
-
-    started = _time.time()
-    scenario_results = bench_runner.run_scenarios(
-        specs, jobs=args.jobs, timeout_s=args.timeout, out_dir=report_dir,
-        progress=lambda message: out.write("  " + message + "\n"))
-    document = bench_results.make_document(
-        scenario_results, tier="quick" if args.quick else "full",
-        jobs=args.jobs, filter_expr=args.filter,
-        sha=bench_results.git_sha(), created_unix=started)
-    bench_results.save_document(document, args.out)
+    with _outputs(args.out) as (handle,):
+        started = time.time()
+        scenario_results = bench_runner.run_scenarios(
+            specs, jobs=args.jobs, timeout_s=args.timeout,
+            out_dir=report_dir,
+            progress=lambda message: out.write("  " + message + "\n"))
+        document = bench_results.make_document(
+            scenario_results, tier="quick" if args.quick else "full",
+            jobs=args.jobs, filter_expr=args.filter,
+            sha=bench_results.git_sha(), created_unix=started)
+        handle.write(_dumps(document))
 
     failed = [r for r in scenario_results if r["status"] != "ok"]
     out.write("{} scenario(s), {} failure(s), {:.1f}s wall, "
               "jobs={} -> {}\n".format(
                   len(scenario_results), len(failed),
-                  _time.time() - started, args.jobs, args.out))
+                  time.time() - started, args.jobs, args.out))
     for result in failed:
         tail = (result.get("error") or "").strip().splitlines()
         out.write("FAIL  {} [{}]: {}\n".format(
@@ -762,20 +787,15 @@ def _faults_plan(args):
 
     if args.plan and args.fault:
         raise UsageError("--plan and --fault are mutually exclusive")
-    try:
+    with _usage_errors(FaultError):
         if args.plan:
-            try:
+            with _reading(args.plan, "plan"):
                 plan = FaultPlan.from_file(args.plan)
-            except OSError as exc:
-                raise UsageError("cannot read plan {!r}: {}".format(
-                    args.plan, exc.strerror or exc))
             if args.seed is not None:
                 plan.seed = args.seed
             return plan
         if args.fault:
             return FaultPlan.from_flags(args.fault, seed=args.seed or 0)
-    except FaultError as error:
-        raise UsageError(str(error))
     return None
 
 
@@ -822,7 +842,6 @@ def _render_faults_summary(out, stats):
 
 
 def cmd_faults(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
     from repro.faults.plan import FAULT_KINDS
 
     if args.list_only:
@@ -838,68 +857,48 @@ def cmd_faults(args, out):
                   "p=0.5 --seed 11\n")
         return 0
 
-    import json as _json
-
-    from repro.core.errors import GuardrailError
+    from repro.bench import scenarios
     from repro.faults.supervisor import BreakerConfig
     from repro.sim.units import SECOND
 
-    if args.threshold < 1:
-        raise UsageError("--threshold must be >= 1")
-    if args.backoff <= 0:
-        raise UsageError("--backoff must be positive")
-    if args.duration is not None and args.duration <= 0:
-        raise UsageError("--duration must be positive")
+    _at_least(args, 1, "--threshold")
+    _positive(args, "--backoff", "--duration")
     plan = _faults_plan(args)
     config = BreakerConfig(crash_threshold=args.threshold,
                            base_backoff_ns=int(args.backoff * SECOND))
-    try:
-        if args.scenario == "fig2":
-            from repro.bench.scenarios import (
-                run_figure2_scenario,
-                train_default_linnos_model,
-            )
+    with _outputs(args.json_out) as (handle,):
+        try:
+            if args.scenario == "fig2":
+                result = scenarios.run_figure2_scenario(
+                    _fig2_model(out), "guarded", seed=2,
+                    duration_s=int(args.duration or 16),
+                    fault_plan=plan, supervise=True, breaker_config=config)
+            else:
+                result = scenarios.run_faults_demo_scenario(
+                    duration_s=int(args.duration or 12),
+                    fault_plan=plan, breaker_config=config)
+        except GuardrailError as error:
+            # Misconfigured plan (unknown slot name and friends) surfaces
+            # at install time as a typed error: operator mistake, exit 2.
+            raise UsageError(str(error))
+        except Exception as error:
+            # The thing `faults` exists to detect: a fault that escaped
+            # containment and took the run down.
+            out.write("ESCAPED: {}: {}\n".format(type(error).__name__, error))
+            return 1
 
-            out.write("training the LinnOS model (fig2 scenario)...\n")
-            model = train_default_linnos_model(seed=1, train_seconds=12)
-            result = run_figure2_scenario(
-                model, "guarded", seed=2,
-                duration_s=int(args.duration or 16),
-                fault_plan=plan, supervise=True, breaker_config=config)
-            kernel = result.kernel
-            injector, supervisor = result.injector, result.policy_supervisor
-        else:
-            from repro.bench.scenarios import run_faults_demo_scenario
-
-            result = run_faults_demo_scenario(
-                duration_s=int(args.duration or 12),
-                fault_plan=plan, breaker_config=config)
-            kernel = result.kernel
-            injector, supervisor = result.injector, result.policy_supervisor
-    except GuardrailError as error:
-        # Misconfigured plan (unknown slot name and friends) surfaces at
-        # install time as a typed error: operator mistake, exit 2.
-        raise UsageError(str(error))
-    except Exception as error:
-        # The thing `faults` exists to detect: a fault that escaped
-        # containment and took the run down.
-        out.write("ESCAPED: {}: {}\n".format(type(error).__name__, error))
-        return 1
-
-    stats = {
-        "scenario": args.scenario,
-        "duration_s": args.duration or (16 if args.scenario == "fig2" else 12),
-        "plan": plan.to_dict() if plan is not None else None,
-        "injected": injector.stats() if injector is not None else None,
-        "policy": supervisor.stats() if supervisor is not None else None,
-        "monitors": kernel.supervisor.stats(),
-    }
-    _render_faults_summary(out, stats)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            _json.dump(stats, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out.write("wrote accounting to {}\n".format(args.json_out))
+        injector, supervisor = result.injector, result.policy_supervisor
+        stats = {
+            "scenario": args.scenario,
+            "duration_s": args.duration or (
+                16 if args.scenario == "fig2" else 12),
+            "plan": plan.to_dict() if plan is not None else None,
+            "injected": injector.stats() if injector is not None else None,
+            "policy": supervisor.stats() if supervisor is not None else None,
+            "monitors": result.kernel.supervisor.stats(),
+        }
+        _emit(out, stats, _render_faults_summary, handle=handle,
+              wrote="accounting")
     out.write("contained: every injected fault was absorbed; "
               "the run completed\n")
     return 0
@@ -948,139 +947,71 @@ def _render_fleet_summary(out, report):
 
 
 def cmd_fleet(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
-    import json as _json
-
-    if args.hosts < 1:
-        raise UsageError("--hosts must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.faults < 0 or args.faults > args.hosts:
-        raise UsageError("--faults must be between 0 and --hosts")
-
-    from repro.fleet.rollout import parse_stages
+    _check_fleet_flags(args)
+    _check_stages(args)
     from repro.fleet.scenario import run_fleet_rollout
 
-    try:
-        parse_stages(args.stages, args.hosts)
-    except ValueError as error:
-        raise UsageError(str(error))
-
-    # Fail on an unwritable --out path *before* the run, not after it.
-    out_handle = None
-    if args.out is not None:
-        try:
-            out_handle = open(args.out, "w")
-        except OSError as exc:
-            raise UsageError("cannot write {!r}: {}".format(
-                args.out, exc.strerror or exc))
-
-    try:
+    with _outputs(args.out) as (handle,):
         report = run_fleet_rollout(
             hosts=args.hosts, stages=args.stages, seed=args.seed,
             jobs=args.jobs, fault_hosts=args.faults, quick=args.quick)
-        if out_handle is not None:
-            _json.dump(report, out_handle, indent=2, sort_keys=True)
-            out_handle.write("\n")
-    finally:
-        if out_handle is not None:
-            out_handle.close()
-    if args.json_out:
-        _json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _render_fleet_summary(out, report)
-        if args.out is not None:
-            out.write("wrote report to {}\n".format(args.out))
+        _emit(out, report, _render_fleet_summary, args.json_out, handle,
+              wrote="report")
     return 0 if report["status"] == "completed" else 1
 
 
 def _open_store(args, retention=None):
     from repro.service.store import ResultsStore, StoreError
 
-    try:
+    with _usage_errors(StoreError):
         return ResultsStore(args.store, retention=retention)
-    except StoreError as error:
-        raise UsageError(str(error))
 
 
 def cmd_serve(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
-    from repro.fleet.rollout import parse_stages
-    from repro.service.loop import (
-        ServiceError,
-        resume,
-        serve_rollout,
-        serve_soak,
-        summary_json,
-    )
+    from repro.service.loop import ServiceError, resume, serve_rollout, serve_soak
     from repro.service.store import RetentionPolicy
 
-    if args.hosts < 1:
-        raise UsageError("--hosts must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.faults < 0 or args.faults > args.hosts:
-        raise UsageError("--faults must be between 0 and --hosts")
-    if args.rounds < 1:
-        raise UsageError("--rounds must be >= 1")
-    if args.rate < 1:
-        raise UsageError("--rate must be >= 1")
-    if args.max_rounds is not None and args.max_rounds < 1:
-        raise UsageError("--max-rounds must be >= 1")
+    _check_fleet_flags(args)
+    _at_least(args, 1, "--rounds", "--rate", "--max-rounds")
     if args.run is not None and not args.resume:
         raise UsageError("--run only makes sense with --resume")
-    try:
+    with _usage_errors(ValueError):
         retention = RetentionPolicy(raw_rounds=args.retain_rounds,
                                     bucket_rounds=args.bucket_rounds)
-    except ValueError as error:
-        raise UsageError(str(error))
     if not args.resume and not args.soak:
-        try:
-            parse_stages(args.stages, args.hosts)
-        except ValueError as error:
-            raise UsageError(str(error))
+        _check_stages(args)
 
-    with _open_store(args, retention=retention) as store:
-        try:
-            if args.resume:
-                summary = resume(store, run_id=args.run, jobs=args.jobs,
-                                 max_rounds=args.max_rounds)
-            elif args.soak:
-                summary = serve_soak(
-                    store, hosts=args.hosts, seed=args.seed,
-                    rate_ios=args.rate, rounds=args.rounds, jobs=args.jobs,
-                    max_rounds=args.max_rounds)
-            else:
-                summary = serve_rollout(
-                    store, hosts=args.hosts, stages=args.stages,
-                    seed=args.seed, fault_hosts=args.faults,
-                    quick=args.quick, jobs=args.jobs,
-                    max_rounds=args.max_rounds)
-        except ServiceError as error:
-            raise UsageError(str(error))
-    out.write(summary_json(summary))
-    out.write("\n")
+    with _open_store(args, retention=retention) as store, \
+            _usage_errors(ServiceError):
+        if args.resume:
+            summary = resume(store, run_id=args.run, jobs=args.jobs,
+                             max_rounds=args.max_rounds)
+        elif args.soak:
+            summary = serve_soak(
+                store, hosts=args.hosts, seed=args.seed,
+                rate_ios=args.rate, rounds=args.rounds, jobs=args.jobs,
+                max_rounds=args.max_rounds)
+        else:
+            summary = serve_rollout(
+                store, hosts=args.hosts, stages=args.stages,
+                seed=args.seed, fault_hosts=args.faults,
+                quick=args.quick, jobs=args.jobs,
+                max_rounds=args.max_rounds)
+    out.write(_dumps(summary))
     # Same contract as `fleet`: a gate trip the service detected is 1.
     return 1 if summary["status"] == "rolled_back" else 0
 
 
 def cmd_query(args, out):
-    import json as _json
-
     from repro.service.query import QUERIES
     from repro.service.store import StoreError
 
     if args.name not in QUERIES:
         raise UsageError("unknown query {!r}; known: {}".format(
             args.name, ", ".join(sorted(QUERIES))))
-    with _open_store(args) as store:
-        try:
-            result = QUERIES[args.name](store, args.run)
-        except StoreError as error:
-            raise UsageError(str(error))
-    _json.dump(result, out, indent=2, sort_keys=True)
-    out.write("\n")
+    with _open_store(args) as store, _usage_errors(StoreError):
+        result = QUERIES[args.name](store, args.run)
+    out.write(_dumps(result))
     return 0
 
 
@@ -1088,24 +1019,13 @@ def cmd_dash(args, out):
     from repro.service.dashboard import render_html, render_terminal
     from repro.service.store import StoreError
 
-    with _open_store(args) as store:
-        try:
-            if args.html is not None:
-                page = render_html(store, args.run)
-            else:
-                text = render_terminal(store, args.run)
-        except StoreError as error:
-            raise UsageError(str(error))
-    if args.html is not None:
-        try:
-            with open(args.html, "w") as handle:
-                handle.write(page)
-        except OSError as exc:
-            raise UsageError("cannot write {!r}: {}".format(
-                args.html, exc.strerror or exc))
-        out.write("wrote dashboard to {}\n".format(args.html))
-    else:
-        out.write(text)
+    with _open_store(args) as store, _outputs(args.html) as (html,), \
+            _usage_errors(StoreError):
+        if html is not None:
+            html.write(render_html(store, args.run))
+            out.write("wrote dashboard to {}\n".format(args.html))
+        else:
+            out.write(render_terminal(store, args.run))
     return 0
 
 
@@ -1135,17 +1055,9 @@ def _render_autopilot_summary(out, result):
 
 
 def cmd_autopilot(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
-    import json as _json
-
-    if args.hosts < 1:
-        raise UsageError("--hosts must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.iterations < 1:
-        raise UsageError("--iterations must be >= 1")
-    if args.corrupt_at is not None and args.corrupt_at < 0:
-        raise UsageError("--corrupt-at must be >= 0")
+    _check_fleet_flags(args)
+    _at_least(args, 1, "--iterations")
+    _at_least(args, 0, "--corrupt-at")
     if args.quantile is not None and not 0.0 <= args.quantile <= 1.0:
         raise UsageError("--quantile must be in [0, 1]")
     if args.margin is not None and args.margin <= 0:
@@ -1153,56 +1065,31 @@ def cmd_autopilot(args, out):
 
     from repro.autopilot.loop import AutopilotError, run_autopilot
     from repro.autopilot.propose import TIGHTEN_MARGIN, TIGHTEN_QUANTILE
-    from repro.fleet.rollout import parse_stages
 
-    try:
-        parse_stages(args.stages, args.hosts)
-    except ValueError as error:
-        raise UsageError(str(error))
-
-    # Fail on an unwritable --out path *before* the run, not after it.
-    out_handle = None
-    if args.out is not None:
-        try:
-            out_handle = open(args.out, "w")
-        except OSError as exc:
-            raise UsageError("cannot write {!r}: {}".format(
-                args.out, exc.strerror or exc))
-
+    _check_stages(args)
     iterations = 1 if args.mode in ("propose", "apply") else args.iterations
-    try:
-        with _open_store(args) as store:
-            try:
-                result = run_autopilot(
-                    store, hosts=args.hosts, stages=args.stages,
-                    seed=args.seed, jobs=args.jobs, iterations=iterations,
-                    quick=args.quick, corrupt_at=args.corrupt_at,
-                    quantile=(TIGHTEN_QUANTILE if args.quantile is None
-                              else args.quantile),
-                    margin=(TIGHTEN_MARGIN if args.margin is None
-                            else args.margin),
-                    deploy=args.mode != "propose",
-                    synthesize=not args.no_synthesize)
-            except AutopilotError as error:
-                raise UsageError(str(error))
-        if out_handle is not None:
-            _json.dump(result, out_handle, indent=2, sort_keys=True)
-            out_handle.write("\n")
-    finally:
-        if out_handle is not None:
-            out_handle.close()
-    if args.json_out:
-        _json.dump(result, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _render_autopilot_summary(out, result)
-        if args.out is not None:
-            out.write("wrote report to {}\n".format(args.out))
+    with _outputs(args.out) as (handle,):
+        with _open_store(args) as store, _usage_errors(AutopilotError):
+            result = run_autopilot(
+                store, hosts=args.hosts, stages=args.stages,
+                seed=args.seed, jobs=args.jobs, iterations=iterations,
+                quick=args.quick, corrupt_at=args.corrupt_at,
+                quantile=(TIGHTEN_QUANTILE if args.quantile is None
+                          else args.quantile),
+                margin=(TIGHTEN_MARGIN if args.margin is None
+                        else args.margin),
+                deploy=args.mode != "propose",
+                synthesize=not args.no_synthesize)
+        _emit(out, result, _render_autopilot_summary, args.json_out, handle,
+              wrote="report")
     # Same contract as `fleet`: a gate trip the autopilot provoked is 1.
     return 1 if result["final"]["rolled_back"] else 0
 
 
-def _render_eval_scores(out, document):
+def _render_eval_run(out, document):
+    out.write("eval: {} episode(s), tier {}, dataset v{}\n".format(
+        len(document["episodes"]), document["tier"],
+        document["dataset"]["dataset_version"]))
     scores = document["scores"]
     lo, hi = scores["accuracy_ci"]
     out.write("accuracy {}/{} ({:.1%}, CI {:.1%}-{:.1%})\n".format(
@@ -1272,26 +1159,19 @@ def _eval_document(args):
     from repro.eval.dataset import DatasetError
     from repro.eval.runner import run_eval
 
-    try:
+    with _usage_errors(DatasetError, ValueError):
         return run_eval(
             dataset_path=args.dataset,
             tier="quick" if args.quick else "full",
             jobs=args.jobs, ids=args.ids or None, timeout_s=args.timeout,
             progress=lambda message: sys.stderr.write(
                 "  " + message + "\n"))
-    except (DatasetError, ValueError) as error:
-        raise UsageError(str(error))
 
 
 def cmd_eval(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
     from repro.eval.calibrate import calibrate
     from repro.eval.dataset import DatasetError, check_dataset
-    from repro.eval.results import (
-        compare_to_baseline,
-        dumps_document,
-        load_document,
-    )
+    from repro.eval.results import compare_to_baseline, load_document
 
     if args.check_dataset:
         try:
@@ -1310,21 +1190,14 @@ def cmd_eval(args, out):
     if args.mode is None:
         raise UsageError("expected a mode (run, calibrate, diff) "
                          "or --check-dataset")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.timeout <= 0:
-        raise UsageError("--timeout must be positive")
+    _at_least(args, 1, "--jobs")
+    _positive(args, "--timeout")
     if args.document is not None and args.mode != "diff":
         raise UsageError("a document argument only makes sense with diff")
 
     def load(path, what):
-        try:
+        with _reading(path, what), _usage_errors(ValueError):
             return load_document(path)
-        except OSError as exc:
-            raise UsageError("cannot read {} {!r}: {}".format(
-                what, path, exc.strerror or exc))
-        except ValueError as exc:
-            raise UsageError(str(exc))
 
     baseline = (load(args.baseline, "baseline")
                 if args.baseline is not None else None)
@@ -1335,26 +1208,19 @@ def cmd_eval(args, out):
         if baseline is None:
             raise UsageError("diff needs --baseline")
         diff = compare_to_baseline(load(args.document, "document"), baseline)
-        if args.json_out:
-            out.write(dumps_document(diff))
-        else:
-            _render_eval_diff(out, diff)
+        _emit(out, diff, _render_eval_diff, args.json_out)
         return 0 if diff["passed"] else 1
 
     if args.mode == "calibrate":
         document = (load(args.from_doc, "document")
-                    if args.from_doc is not None else _eval_document(args))
-        try:
-            calibration = calibrate(document)
-        except ValueError as error:
-            raise UsageError(str(error))
-        if args.out is not None:
-            with open(args.out, "w") as handle:
-                handle.write(dumps_document(calibration))
-        if args.json_out:
-            out.write(dumps_document(calibration))
-        else:
-            _render_calibration(out, calibration)
+                    if args.from_doc is not None else None)
+        with _outputs(args.out) as (handle,):
+            if document is None:
+                document = _eval_document(args)
+            with _usage_errors(ValueError):
+                calibration = calibrate(document)
+            _emit(out, calibration, _render_calibration, args.json_out,
+                  handle)
         # The thing calibrate gates on: the shipped defaults must be
         # exactly what the data reproduces, and must separate every
         # labelled episode.
@@ -1362,40 +1228,36 @@ def cmd_eval(args, out):
             not calibration["changed"]
         return 0 if passed else 1
 
-    document = _eval_document(args)
-    if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(dumps_document(document))
-    diff = (compare_to_baseline(document, baseline)
-            if baseline is not None else None)
-    if args.json_out:
-        out.write(dumps_document(document))
-    else:
-        out.write("eval: {} episode(s), tier {}, dataset v{}\n".format(
-            len(document["episodes"]), document["tier"],
-            document["dataset"]["dataset_version"]))
-        _render_eval_scores(out, document)
-        if args.out is not None:
-            out.write("wrote document to {}\n".format(args.out))
-    if diff is not None:
-        if not args.json_out:
-            _render_eval_diff(out, diff)
-        return 0 if diff["passed"] else 1
-    incorrect = sum(1 for result in document["episodes"]
-                    if not result["correct"])
-    return 1 if incorrect else 0
+    with _outputs(args.out) as (handle,):
+        document = _eval_document(args)
+        _emit(out, document, _render_eval_run, args.json_out, handle,
+              wrote="document")
+    if baseline is None:
+        incorrect = sum(1 for result in document["episodes"]
+                        if not result["correct"])
+        return 1 if incorrect else 0
+    diff = compare_to_baseline(document, baseline)
+    if not args.json_out:
+        _render_eval_diff(out, diff)
+    return 0 if diff["passed"] else 1
+
+
+def _scenario(name):
+    from repro.scenarios import get_scenario
+
+    try:
+        return get_scenario(name)
+    except KeyError:
+        raise UsageError("unknown scenario {!r}; see "
+                         "'grctl scenarios list'".format(name))
 
 
 def _select_scenarios(args):
     """Resolve the run/list selection; UsageError on unknown/empty."""
-    from repro.scenarios import get_scenario, select_scenarios
+    from repro.scenarios import select_scenarios
 
     if args.name is not None:
-        try:
-            selection = [get_scenario(args.name)]
-        except KeyError:
-            raise UsageError("unknown scenario {!r}; see "
-                             "'grctl scenarios list'".format(args.name))
+        selection = [_scenario(args.name)]
         if args.filter and args.filter not in args.name:
             selection = []
         if args.quick:
@@ -1408,88 +1270,33 @@ def _select_scenarios(args):
     return selection
 
 
-def cmd_scenarios(args, out):
-    # Deferred imports, same policy as trace/bench: `check`/`fmt` stay fast.
-    import json as _json
+def _render_scenario_spec(out, spec):
+    out.write("{}\n".format(spec.name))
+    out.write("  kind:      {}\n".format(spec.kind))
+    out.write("  domains:   {}\n".format(", ".join(
+        "{}({})".format(domain, workload) for domain, workload
+        in zip(spec.domains, spec.workloads))))
+    out.write("  policies:  {}\n".format(", ".join(spec.policies)))
+    out.write("  fault:     {}\n".format(spec.fault))
+    out.write("  seed:      {}\n".format(spec.seed))
+    out.write("  duration:  {:g}s\n".format(spec.duration_s))
+    out.write("  tier:      {}\n".format("quick" if spec.quick else "full"))
+    out.write("  expected:  {}\n".format(", ".join(
+        "{}={}".format(key, value) for key, value
+        in sorted(spec.expected.items()))))
+    out.write("  {}\n".format(spec.description))
 
-    if args.mode == "describe":
-        if args.name is None:
-            raise UsageError("describe needs a scenario name")
-        from repro.scenarios import get_scenario
 
-        try:
-            spec = get_scenario(args.name)
-        except KeyError:
-            raise UsageError("unknown scenario {!r}; see "
-                             "'grctl scenarios list'".format(args.name))
-        if args.json_out:
-            _json.dump(spec.to_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("{}\n".format(spec.name))
-            out.write("  kind:      {}\n".format(spec.kind))
-            out.write("  domains:   {}\n".format(", ".join(
-                "{}({})".format(domain, workload) for domain, workload
-                in zip(spec.domains, spec.workloads))))
-            out.write("  policies:  {}\n".format(", ".join(spec.policies)))
-            out.write("  fault:     {}\n".format(spec.fault))
-            out.write("  seed:      {}\n".format(spec.seed))
-            out.write("  duration:  {:g}s\n".format(spec.duration_s))
-            out.write("  tier:      {}\n".format(
-                "quick" if spec.quick else "full"))
-            out.write("  expected:  {}\n".format(", ".join(
-                "{}={}".format(key, value) for key, value
-                in sorted(spec.expected.items()))))
-            out.write("  {}\n".format(spec.description))
-        return 0
+def _render_scenario_list(out, selection):
+    width = max(len(spec.name) for spec in selection)
+    for spec in selection:
+        out.write("{:<{width}}  {:<8}  {:<5}  {}\n".format(
+            spec.name, spec.kind, "quick" if spec.quick else "full",
+            spec.expected_overall(), width=width))
+    out.write("{} scenario(s)\n".format(len(selection)))
 
-    selection = _select_scenarios(args)
 
-    if args.mode == "list":
-        if args.json_out:
-            _json.dump([spec.to_dict() for spec in selection], out,
-                       indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            width = max(len(spec.name) for spec in selection)
-            for spec in selection:
-                out.write("{:<{width}}  {:<8}  {:<5}  {}\n".format(
-                    spec.name, spec.kind,
-                    "quick" if spec.quick else "full",
-                    spec.expected_overall(), width=width))
-            out.write("{} scenario(s)\n".format(len(selection)))
-        return 0
-
-    # mode == "run"
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    from repro.scenarios import deterministic_document, run_scenarios
-
-    # Fail on an unwritable --out path *before* the run, not after it.
-    out_handle = None
-    if args.out is not None:
-        try:
-            out_handle = open(args.out, "w")
-        except OSError as exc:
-            raise UsageError("cannot write {!r}: {}".format(
-                args.out, exc.strerror or exc))
-    try:
-        document = run_scenarios(selection, jobs=args.jobs,
-                                 timeout_s=args.timeout)
-        if out_handle is not None:
-            _json.dump(document, out_handle, indent=2, sort_keys=True)
-            out_handle.write("\n")
-    finally:
-        if out_handle is not None:
-            out_handle.close()
-
-    passed = (document["matched"] == document["count"]
-              and not document["errors"])
-    if args.json_out:
-        _json.dump(deterministic_document(document), out, indent=2,
-                   sort_keys=True)
-        out.write("\n")
-        return 0 if passed else 1
+def _render_scenario_run(out, document):
     for result in document["scenarios"]:
         if result["matched"]:
             out.write("ok       {}  ({})\n".format(
@@ -1503,8 +1310,35 @@ def cmd_scenarios(args, out):
               "{} error(s)\n".format(
                   document["count"], document["matched"],
                   len(document["mismatched"]), len(document["errors"])))
-    if args.out is not None:
-        out.write("wrote document to {}\n".format(args.out))
+
+
+def cmd_scenarios(args, out):
+    if args.mode == "describe":
+        if args.name is None:
+            raise UsageError("describe needs a scenario name")
+        spec = _scenario(args.name)
+        _emit(out, spec.to_dict(),
+              lambda out, _: _render_scenario_spec(out, spec), args.json_out)
+        return 0
+
+    selection = _select_scenarios(args)
+    if args.mode == "list":
+        _emit(out, [spec.to_dict() for spec in selection],
+              lambda out, _: _render_scenario_list(out, selection),
+              args.json_out)
+        return 0
+
+    # mode == "run"
+    _at_least(args, 1, "--jobs")
+    from repro.scenarios import deterministic_document, run_scenarios
+
+    with _outputs(args.out) as (handle,):
+        document = run_scenarios(selection, jobs=args.jobs,
+                                 timeout_s=args.timeout)
+        _emit(out, document, _render_scenario_run, args.json_out, handle,
+              wrote="document", shown=deterministic_document(document))
+    passed = (document["matched"] == document["count"]
+              and not document["errors"])
     return 0 if passed else 1
 
 

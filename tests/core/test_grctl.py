@@ -1,11 +1,16 @@
 """The grctl command-line tool."""
 
+import builtins
+import importlib
 import io
+import pathlib
 
 import pytest
 
 from repro.core.spec import parse_guardrails
+from repro.tools import grctl
 from repro.tools.grctl import main
+from tests.bench.conftest import GOOD_MODULES, write_bench_dir
 
 GOOD = """
 guardrail a {
@@ -260,3 +265,80 @@ def test_trace_sampling_and_category_flags(tmp_path):
     assert {e.category for e in events} <= {"hook", "monitor.check", "action"}
     # Counters stay exact even though the event stream is filtered/sampled.
     assert "per-guardrail counters (exact):" in output
+
+
+# -- unwritable output paths --------------------------------------------------
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Every file-writing flag: (id, argv builder, module, run function).  The
+#: argv puts ``bad`` in the flag under test; the run function must never be
+#: entered, because the output is opened before the run starts.
+UNWRITABLE_OUTPUTS = [
+    ("fleet --out", lambda tmp, bad: [
+        "fleet", "--hosts", "2", "--quick", "--out", bad],
+     "repro.fleet.scenario", "run_fleet_rollout"),
+    ("autopilot --out", lambda tmp, bad: [
+        "autopilot", "loop", "--store", str(tmp / "ap.sqlite"), "--quick",
+        "--out", bad],
+     "repro.autopilot.loop", "run_autopilot"),
+    ("scenarios run --out", lambda tmp, bad: [
+        "scenarios", "run", "--quick", "--filter", "storage/quiet/clean",
+        "--out", bad],
+     "repro.scenarios", "run_scenarios"),
+    ("eval run --out", lambda tmp, bad: [
+        "eval", "run", "--quick", "--out", bad],
+     "repro.eval.runner", "run_eval"),
+    ("eval calibrate --out", lambda tmp, bad: [
+        "eval", "calibrate", "--from", str(REPO_ROOT / "EVAL_baseline.json"),
+        "--out", bad],
+     "repro.eval.calibrate", "calibrate"),
+    ("faults --json", lambda tmp, bad: [
+        "faults", "--fault", "raise@storage.pick_device:start=3,stop=5",
+        "--duration", "1", "--json", bad],
+     "repro.bench.scenarios", "run_faults_demo_scenario"),
+    ("bench --out", lambda tmp, bad: [
+        "bench", "--bench-dir", str(write_bench_dir(
+            tmp / "benchmarks", GOOD_MODULES)), "--quick", "--out", bad],
+     "repro.bench.runner", "run_scenarios"),
+    ("trace --jsonl", lambda tmp, bad: ["trace", "--jsonl", bad],
+     "repro.bench.scenarios", "run_trace_demo_scenario"),
+    ("trace --chrome", lambda tmp, bad: ["trace", "--chrome", bad],
+     "repro.bench.scenarios", "run_trace_demo_scenario"),
+    ("dash --html", lambda tmp, bad: [
+        "dash", "--store", str(tmp / "s.sqlite"), "--html", bad],
+     "repro.service.dashboard", "render_html"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, function",
+    [row[1:] for row in UNWRITABLE_OUTPUTS],
+    ids=[row[0] for row in UNWRITABLE_OUTPUTS])
+def test_unwritable_output_exits_2_before_the_run(
+        tmp_path, monkeypatch, capsys, argv, module, function):
+    def entered(*args, **kwargs):
+        raise AssertionError("{} ran before its output was opened".format(
+            function))
+
+    monkeypatch.setattr(importlib.import_module(module), function, entered)
+    bad = str(tmp_path / "no-such-dir" / "out.json")
+    code, _ = run(argv(tmp_path, bad))
+    assert code == 2
+    assert "cannot write {!r}".format(bad) in capsys.readouterr().err
+
+
+def test_fmt_write_to_unwritable_file_is_usage_error(
+        good_file, monkeypatch, capsys):
+    # Root ignores file modes, so refuse writes at ``open`` instead.
+    def read_only_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", path)
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(grctl, "open", read_only_open, raising=False)
+    code, output = run(["fmt", "--write", good_file])
+    assert code == 2 and output == ""
+    assert "cannot write" in capsys.readouterr().err
+    with open(good_file) as handle:
+        assert handle.read() == GOOD

@@ -21,6 +21,7 @@ import re
 from repro.core.errors import StoreError
 from repro.detect.quantiles import P2Quantile
 from repro.detect.streaming import Ewma, MovingAverage, RateCounter, WindowedMean
+from repro.sim.metrics import DeferredFlush
 from repro.trace.tracer import TRACER
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
@@ -96,8 +97,14 @@ class _DerivedRate(_DerivedKey):
         return self.estimator.rate(now)
 
 
-class FeatureStore:
-    """Global key/value store with derived aggregates and change tracking."""
+class FeatureStore(DeferredFlush):
+    """Global key/value store with derived aggregates and change tracking.
+
+    Any access that could observe state (save/load/version/snapshot/keys/
+    contains/subscribe/derive) first drains an armed deferred flush, so
+    saves a buffering writer still holds are never visible as missing.
+    ``save_count`` and ``load_count`` are plain counters and do not drain.
+    """
 
     MAX_SUBSCRIBER_ERRORS = 100
 
@@ -109,7 +116,7 @@ class FeatureStore:
         self._versions = {}     # key -> monotonically increasing int
         self._subscribers = []  # callbacks (key, value, now)
         self._valid_keys = set()  # keys that already passed _KEY_RE
-        self._flush = None      # one-shot drain armed by a batched ingest
+        self._flush = None      # see DeferredFlush
         self.save_count = 0
         self.load_count = 0
         # ``strict_notify=True`` restores the pre-containment behavior: a
@@ -133,44 +140,32 @@ class FeatureStore:
             raise StoreError("invalid feature-store key: {!r}".format(key))
         self._valid_keys.add(key)
 
-    # -- batched ingest plumbing -------------------------------------------
+    # -- buffered ingest ----------------------------------------------------
 
-    def defer_flush(self, callback):
-        """Arm a one-shot ``callback`` that drains buffered batched saves.
+    def quiet_since(self, mark):
+        """True when a save made now could be deferred unobserved.
 
-        The batched device-model lane buffers per-event saves in columns;
-        any store access that could observe state (save/load/version/
-        snapshot/keys/contains) first runs the armed callback, so no reader
-        can ever see pre-flush state.  Re-arming the same callback is a
-        no-op; arming a different one drains the first immediately.
+        ``mark`` is a ``save_count + load_count`` reading.  Quiet means no
+        save or load since then, no subscriber and no active tracer: the
+        three things that would see a deferred save late or out of order.
         """
-        if self._flush is not None and self._flush is not callback:
-            self._drain_flush()
-        self._flush = callback
-
-    def cancel_flush(self, callback):
-        """Disarm ``callback`` if armed (the ingest draining on its own)."""
-        if self._flush is callback:
-            self._flush = None
-
-    def _drain_flush(self):
-        # Clear before running: the callback replays saves through the
-        # normal (or batched) save path, which must not re-enter the drain.
-        flush, self._flush = self._flush, None
-        flush()
+        return (self.save_count + self.load_count == mark
+                and not self._subscribers and not TRACER.active)
 
     def save_batch(self, key, values, times):
-        """Batched SAVE: equivalent to ``save(key, v)`` at each time.
+        """Deferred SAVEs: equivalent to ``save(key, v)`` at each time.
 
         ``times`` carries the events' (non-decreasing) virtual timestamps —
-        the clock values the scalar saves would have observed.  With no
-        tracer and no subscribers the fast lane updates raw state in O(1)
-        and feeds derived keys one batch at a time; otherwise events are
-        replayed sequentially so every per-event observer sees scalar
-        order.  Values are expected numeric (the device-model lane only
-        buffers numbers); state afterwards is bit-identical to n scalar
-        saves as long as nothing read the store mid-batch — which
-        :meth:`defer_flush` exists to guarantee.
+        the clock values the scalar saves would have observed.  Raw state
+        is updated in O(1) and derived keys are fed one batch at a time.
+        Values are expected numeric.  State afterwards is bit-identical to
+        n scalar saves as long as nothing read the store mid-batch, which
+        the deferred-flush drain guarantees.
+
+        No subscriber is notified and nothing is traced: callers buffer
+        only while :meth:`quiet_since` holds, :meth:`subscribe` drains
+        first, and saves buffered before a tracer started were made before
+        it started.
         """
         count = len(values)
         if count == 0:
@@ -189,29 +184,6 @@ class FeatureStore:
                 "key {!r} is derived (from {!r}) and cannot be saved directly"
                 .format(key, self._derived[key].source)
             )
-        if TRACER.active or self._subscribers:
-            # Sequential replay at the recorded event times: tracing spans
-            # and subscriber callbacks observe each save individually, in
-            # exactly the order the scalar path would have produced.
-            for value, now in zip(values, times):
-                self.save_count += 1
-                if TRACER.active:
-                    TRACER.emit(
-                        "featurestore.save", key, now,
-                        args={"value": value}
-                        if isinstance(value, (bool, int, float, str))
-                        or value is None else None,
-                    )
-                self._values[key] = value
-                self._bump(key, value, now)
-                if isinstance(value, (int, float)):
-                    fanout = self._by_source.get(key)
-                    if fanout is not None:
-                        numeric = float(value)
-                        for derived in fanout:
-                            derived.update(numeric, now)
-                            self._bump(derived.name, None, now)
-            return
         self.save_count += count
         self._values[key] = values[-1]
         versions = self._versions
@@ -336,8 +308,12 @@ class FeatureStore:
         Subscribing an already-subscribed callback is idempotent: the
         callback stays registered exactly once (one delivery per change),
         and any of the returned ``unsubscribe`` handles removes that single
-        registration.  ``unsubscribe`` itself is idempotent.
+        registration.  ``unsubscribe`` itself is idempotent.  Deferred saves
+        are drained first: they predate the subscriber, so it never hears
+        of them.
         """
+        if self._flush is not None:
+            self._drain_flush()
         if callback not in self._subscribers:
             self._subscribers.append(callback)
 
@@ -352,6 +328,9 @@ class FeatureStore:
     # -- derived keys -----------------------------------------------------
 
     def _register_derived(self, derived):
+        # Deferred saves of the source predate this key and must not feed it.
+        if self._flush is not None:
+            self._drain_flush()
         self._check_key(derived.name)
         self._check_key(derived.source)
         if derived.name in self._derived or derived.name in self._values:

@@ -317,7 +317,7 @@ class RateCounter:
         numerator is an integer running count and evictions are monotone in
         time, so appending the whole batch and evicting once at the final
         timestamp leaves *identical* state to n sequential observes — this
-        is what lets the batched ingest lane stay bit-exact.
+        is what lets the buffered completion ingest stay bit-exact.
         """
         if self._unsettled:
             self._settle()

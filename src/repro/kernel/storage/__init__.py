@@ -11,14 +11,14 @@
   phases and mid-run device-behavior drift.
 """
 
-from repro.kernel.storage.batch import BatchedCompletionIngest
+from repro.kernel.storage.batch import CompletionIngest
 from repro.kernel.storage.ssd import DeviceProfile, SsdDevice
 from repro.kernel.storage.trace import (PoissonWorkload, ReplayWorkload,
                                         schedule_profile_change)
 from repro.kernel.storage.volume import IoRequest, PickDecision, ReplicatedVolume
 
 __all__ = [
-    "BatchedCompletionIngest",
+    "CompletionIngest",
     "DeviceProfile",
     "SsdDevice",
     "PoissonWorkload",

@@ -1,41 +1,39 @@
-"""Columnar completion ingest for the batched device-model lane.
+"""Completion ingest: every I/O completion's store saves and metric records.
 
-The scalar completion path pays the full feature-store and metric-recorder
-fan-out per I/O: two ``store.save`` calls, a time-series append, and two
-counter increments — five Python-level operations per event.  The batched
-lane buffers those per-event effects in plain column lists and drains them
-in one :meth:`FeatureStore.save_batch` / :meth:`MetricRecorder.record_batch`
-call per column, amortizing dispatch over thousands of events.
+Per completion the volume publishes two ``store.save`` calls, a time-series
+append and one or two counter increments.  In the paper's §4.3 design,
+subsystems SAVE and guardrails LOAD, so while no guardrail is reading that
+publishing should cost almost nothing.  :class:`CompletionIngest` decides,
+per completion, between two ways of doing it:
 
-Exactness contract (the "bugfix" half of this lane):
+- **buffer** — append the effects to plain column lists, drained later in
+  one :meth:`FeatureStore.save_batch` / :meth:`MetricRecorder.record_batch`
+  call per column.  Chosen only while the store is quiet
+  (:meth:`FeatureStore.quiet_since`): no save or load since the previous
+  completion's own effects, no subscriber and no active tracer.
+- **write through** — the scalar saves and records, after draining
+  anything still buffered.
 
-- The device model's RNG is untouched — batching begins strictly *after*
-  service/dwell draws, so per-event draw order is the scalar path's by
-  construction.
-- Buffered values are exactly what the scalar saves would have stored
-  (the float latency, the int 0/1 false-submit event) at exactly the
-  event timestamps the scalar clock would have observed.
-- No reader can observe pre-flush state: every buffered event arms the
-  store's one-shot flush hook, and any store access (a rule's LOAD, a
-  snapshot, a version probe) drains the buffers first.  Metric readers go
-  through :meth:`ReplicatedVolume.flush_ingest`.
-
-Given those, final counters, series, histograms and derived-estimator
-state are bit-identical across batch sizes — pinned by the seeded
-cross-check in ``tests/kernel/storage/test_batch_ingest.py``.
+Correctness never depends on the choice.  The device model's RNG draws all
+happen before a completion reaches the ingest; buffered values and
+timestamps are exactly what the scalar path stores; and every store read
+and every metric read drains the buffer first (the deferred-flush slot of
+:class:`~repro.sim.metrics.DeferredFlush`).  The choice only decides
+whether buffering pays: a store touched between completions would drain
+after every event, and a subscriber or tracer must see each save in order.
 """
 
+#: Most completions one ingest holds before it drains on its own.  Only
+#: bounds memory: a quiet store would otherwise buffer a whole run.
+MAX_PENDING = 4096
 
-class BatchedCompletionIngest:
-    """Buffers one volume's per-completion store/metric effects."""
 
-    def __init__(self, store, metrics, metric_prefix, batch_size):
-        if batch_size < 1:
-            raise ValueError(
-                "batch_size must be >= 1, got {}".format(batch_size))
+class CompletionIngest:
+    """One volume's per-completion store saves and metric records."""
+
+    def __init__(self, store, metrics, metric_prefix):
         self.store = store
         self.metrics = metrics
-        self.batch_size = int(batch_size)
         self._series_name = metric_prefix + ".io_latency_us"
         self._completed_name = metric_prefix + ".completed"
         self._slow_name = metric_prefix + ".slow_ios"
@@ -44,35 +42,60 @@ class BatchedCompletionIngest:
         self._fs_times = []
         self._fs_values = []
         self._slow_count = 0
-        self.flush_count = 0
+        # store.save_count + store.load_count right after the previous
+        # completion's own effects; None until the first completion.
+        self._mark = None
+        self.write_through_count = 0
+        self.drain_count = 0
         # One stable bound method: defer_flush/cancel_flush match by
-        # identity, and ``self.flush`` creates a fresh object per access.
-        self._flush_cb = self.flush
+        # identity, and ``self.drain`` creates a fresh object per access.
+        self._drain_cb = self.drain
 
     def __len__(self):
         return len(self._times)
 
     def add(self, now, latency_us, false_submit_event, slow):
-        """Buffer one completion's effects.
+        """Publish one completion's effects.
 
-        ``false_submit_event`` is ``None`` when the scalar path would not
-        have saved a ``false_submit`` sample, else the 0/1 int it would
-        have saved.
+        ``false_submit_event`` is ``None`` when no ``false_submit`` sample
+        is due, else the 0/1 int to save.
         """
-        self.store.defer_flush(self._flush_cb)
-        self._times.append(now)
-        self._latencies.append(latency_us)
-        if false_submit_event is not None:
-            self._fs_times.append(now)
-            self._fs_values.append(false_submit_event)
-        if slow:
-            self._slow_count += 1
-        if len(self._times) >= self.batch_size:
-            self.flush()
+        store = self.store
+        if store.quiet_since(self._mark):
+            times = self._times
+            if not times:
+                # Empty -> armed in both sinks; a drain from either side
+                # empties the buffer and disarms both.
+                store.defer_flush(self._drain_cb)
+                self.metrics.defer_flush(self._drain_cb)
+            times.append(now)
+            self._latencies.append(latency_us)
+            if false_submit_event is not None:
+                self._fs_times.append(now)
+                self._fs_values.append(false_submit_event)
+            if slow:
+                self._slow_count += 1
+            if len(times) < MAX_PENDING:
+                return  # buffering moved neither count: the mark holds
+            self.drain()
+        else:
+            self.write_through_count += 1
+            if self._times:
+                self.drain()
+            store.save("io_latency_us", latency_us)
+            if false_submit_event is not None:
+                store.save("false_submit", false_submit_event)
+            metrics = self.metrics
+            metrics.record(self._series_name, latency_us, now)
+            metrics.increment(self._completed_name)
+            if slow:
+                metrics.increment(self._slow_name)
+        self._mark = store.save_count + store.load_count
 
-    def flush(self):
-        """Drain all buffered events into the store and metrics."""
-        self.store.cancel_flush(self._flush_cb)
+    def drain(self):
+        """Write every buffered completion to the store and metrics."""
+        self.store.cancel_flush(self._drain_cb)
+        self.metrics.cancel_flush(self._drain_cb)
         times = self._times
         if not times:
             return
@@ -85,17 +108,19 @@ class BatchedCompletionIngest:
         self._fs_times = []
         self._fs_values = []
         self._slow_count = 0
-        self.flush_count += 1
-        # Grouped-by-key replay: per-key store state (raw value, version
-        # count, derived estimators) and metric series content are exactly
+        self.drain_count += 1
+        # Grouped by key: per-key store state (raw value, version count,
+        # derived estimators) and metric series content are exactly
         # order-free across *different* keys, so grouping is lossless.
-        self.store.save_batch("io_latency_us", latencies, times)
+        store = self.store
+        store.save_batch("io_latency_us", latencies, times)
         if fs_values:
-            self.store.save_batch("false_submit", fs_values, fs_times)
-        self.metrics.record_batch(self._series_name, times, latencies)
-        self.metrics.increment(self._completed_name, len(times))
+            store.save_batch("false_submit", fs_values, fs_times)
+        metrics = self.metrics
+        metrics.record_batch(self._series_name, times, latencies)
+        metrics.increment(self._completed_name, len(times))
         if slow_count:
-            self.metrics.increment(self._slow_name, slow_count)
+            metrics.increment(self._slow_name, slow_count)
 
 
-__all__ = ["BatchedCompletionIngest"]
+__all__ = ["CompletionIngest", "MAX_PENDING"]

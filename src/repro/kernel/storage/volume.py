@@ -15,8 +15,13 @@ Per completed I/O the volume:
   device fast but the I/O came back slow) — feeding the derived
   ``false_submit_rate`` that Listing 2 loads;
 - fires the ``storage.submit_io`` and ``storage.io_complete`` hook points.
+
+The saves and records go through the volume's
+:class:`~repro.kernel.storage.batch.CompletionIngest`, which buffers them
+while the feature store is quiet and writes them through otherwise.
 """
 
+from repro.kernel.storage.batch import CompletionIngest
 from repro.sim.units import SECOND, ns_to_us
 
 
@@ -70,25 +75,15 @@ class ReplicatedVolume:
     FALLBACK_NAME = "storage.round_robin"
 
     def __init__(self, kernel, devices, slow_threshold_us=500.0,
-                 false_submit_window=1 * SECOND, metric_prefix="storage",
-                 ingest_batch=None):
+                 false_submit_window=1 * SECOND, metric_prefix="storage"):
         if not devices:
             raise ValueError("need at least one device")
         self.kernel = kernel
         self.devices = list(devices)
         self.slow_threshold_us = slow_threshold_us
         self.metric_prefix = metric_prefix
-        # Batched completion lane: buffer per-I/O store saves and metric
-        # records in columns of up to ``ingest_batch`` events, flushed on
-        # buffer-full or on any store read (the store's deferred-flush
-        # hook).  None keeps the scalar per-event path.  Device RNG draws
-        # happen before this point, so batch size can never perturb them.
-        if ingest_batch:
-            from repro.kernel.storage.batch import BatchedCompletionIngest
-            self._ingest = BatchedCompletionIngest(
-                kernel.store, kernel.metrics, metric_prefix, ingest_batch)
-        else:
-            self._ingest = None
+        self.ingest = CompletionIngest(kernel.store, kernel.metrics,
+                                       metric_prefix)
         self._io_counter = 0
         self.inflight = 0
         self.completed = 0
@@ -159,27 +154,12 @@ class ReplicatedVolume:
         false_submit = bool(used_model and predicted_fast and slow)
         if false_submit:
             self.false_submits += 1
-
-        if self._ingest is not None:
-            if used_model and predicted_fast is not None and predicted_fast:
-                fs_event = 1 if false_submit else 0
-            else:
-                fs_event = None
-            self._ingest.add(now, latency_us, fs_event, slow)
+        # Rate denominator: every model-guided fast prediction.
+        if used_model and predicted_fast:
+            fs_event = 1 if false_submit else 0
         else:
-            store = kernel.store
-            store.save("io_latency_us", latency_us)
-            if used_model and predicted_fast is not None:
-                # Rate denominator: every model-guided fast prediction.
-                if predicted_fast:
-                    store.save("false_submit", 1 if false_submit else 0)
-
-            metrics = kernel.metrics
-            prefix = self.metric_prefix
-            metrics.record(prefix + ".io_latency_us", latency_us)
-            metrics.increment(prefix + ".completed")
-            if slow:
-                metrics.increment(prefix + ".slow_ios")
+            fs_event = None
+        self.ingest.add(now, latency_us, fs_event, slow)
 
         self.complete_hook.fire(
             io_id=request.io_id,
@@ -194,16 +174,10 @@ class ReplicatedVolume:
 
     # -- summary ------------------------------------------------------------
 
-    def flush_ingest(self):
-        """Drain the batched ingest buffers (no-op on the scalar path)."""
-        if self._ingest is not None:
-            self._ingest.flush()
-
     def false_submit_fraction(self):
         if self.model_submits == 0:
             return 0.0
         return self.false_submits / self.model_submits
 
     def mean_latency_us(self):
-        self.flush_ingest()
         return self.kernel.metrics.series(self.metric_prefix + ".io_latency_us").mean()

@@ -78,13 +78,47 @@ class TimeSeries:
         return _percentile(sorted(self.values), q)
 
 
-class MetricRecorder:
-    """Named counters and time series for one simulation run."""
+class DeferredFlush:
+    """One armed drain callback for writes a buffering writer still holds.
+
+    The storage completion ingest buffers per-I/O saves and metric records
+    while nothing is looking; it arms its drain here, and every reader of
+    the sink runs it first (``if self._flush is not None:
+    self._drain_flush()``), so no reader can see pre-flush state.
+    Subclasses set ``self._flush = None`` in ``__init__``.
+    """
+
+    def defer_flush(self, callback):
+        """Arm ``callback``; arming a different one drains the first."""
+        if self._flush is not None and self._flush is not callback:
+            self._drain_flush()
+        self._flush = callback
+
+    def cancel_flush(self, callback):
+        """Disarm ``callback`` if armed (the writer draining on its own)."""
+        if self._flush is callback:
+            self._flush = None
+
+    def _drain_flush(self):
+        # Clear before running: the drain writes through the normal sink
+        # methods, which must not re-enter it.
+        flush, self._flush = self._flush, None
+        flush()
+
+
+class MetricRecorder(DeferredFlush):
+    """Named counters and time series for one simulation run.
+
+    Readers (:meth:`series`, :meth:`counter`, :meth:`names`,
+    :meth:`snapshot`) drain any armed :class:`DeferredFlush` first; writers
+    do not, so a subsystem recording its own names never forces a drain.
+    """
 
     def __init__(self, engine):
         self.engine = engine
         self._series = {}
         self._counters = {}
+        self._flush = None
 
     def record(self, name, value, time=None):
         """Append a sample to series ``name`` at ``time`` (default: now)."""
@@ -96,7 +130,7 @@ class MetricRecorder:
     def record_batch(self, name, times, values):
         """Append many samples to series ``name`` with explicit times.
 
-        The batched ingest lane's counterpart to per-event record():
+        The buffered completion ingest's counterpart to per-event record():
         series content is identical, list growth is one extend.
         """
         if name not in self._series:
@@ -107,19 +141,31 @@ class MetricRecorder:
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def counter(self, name):
+        if self._flush is not None:
+            self._drain_flush()
         return self._counters.get(name, 0)
 
     def series(self, name):
-        """The series called ``name``; an empty one if never recorded."""
+        """The series called ``name``; an empty one if never recorded.
+
+        The returned object is live: a series fetched before more events
+        run only shows their samples once a reader has drained them.
+        """
+        if self._flush is not None:
+            self._drain_flush()
         if name not in self._series:
             self._series[name] = TimeSeries(name)
         return self._series[name]
 
     def names(self):
+        if self._flush is not None:
+            self._drain_flush()
         return sorted(set(self._series) | set(self._counters))
 
     def snapshot(self):
         """Counters plus series summary stats, for reports and tests."""
+        if self._flush is not None:
+            self._drain_flush()
         out = {"counters": dict(self._counters), "series": {}}
         for name, series in self._series.items():
             out["series"][name] = {

@@ -101,12 +101,6 @@ def make_document(scenario_results, tier, jobs, filter_expr=None,
     }
 
 
-def save_document(document, path):
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def load_document(path):
     """Load and schema-check a BENCH.json; raise ValueError on mismatch."""
     with open(path) as handle:

@@ -37,15 +37,27 @@ guardrail low-false-submit {
 """
 
 
-def build_storage_kernel(seed=1, replicas=3):
-    """A kernel with a replicated volume over ``replicas`` pre-drift SSDs."""
-    kernel = Kernel(seed=seed)
+#: SSD replicas behind every simulated storage volume.
+REPLICAS = 3
+
+
+def attach_replicated_volume(kernel):
+    """Attach a volume over :data:`REPLICAS` pre-drift SSDs to ``kernel``.
+
+    Returns ``(devices, volume)``.
+    """
     devices = [
         SsdDevice(kernel.engine, kernel.engine.rng.get("ssd{}".format(i)),
                   "ssd{}".format(i), DeviceProfile.pre_drift())
-        for i in range(replicas)
+        for i in range(REPLICAS)
     ]
-    volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
+    return devices, kernel.attach("storage", ReplicatedVolume(kernel, devices))
+
+
+def build_storage_kernel(seed=1):
+    """A kernel with a replicated volume over :data:`REPLICAS` pre-drift SSDs."""
+    kernel = Kernel(seed=seed)
+    devices, volume = attach_replicated_volume(kernel)
     return kernel, devices, volume
 
 
@@ -287,17 +299,6 @@ class FaultsDemoResult:
     @property
     def completed(self):
         return self.volume.completed
-
-    def stats(self):
-        """One JSON-friendly dict: injections, containment, breakers."""
-        return {
-            "completed_ios": self.volume.completed,
-            "injected": self.injector.stats() if self.injector else None,
-            "policy": (self.policy_supervisor.stats()
-                       if self.policy_supervisor else None),
-            "monitors": self.kernel.supervisor.stats(),
-            "guardrail": self.monitor.stats(),
-        }
 
 
 def shortest_queue_policy(inference_ns=2_000):

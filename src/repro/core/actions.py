@@ -25,10 +25,9 @@ class ActionContext:
 
 
 class Action:
-    kind = "action"
+    """Base corrective action; subclasses implement ``execute(ctx)``."""
 
-    def execute(self, ctx):
-        raise NotImplementedError
+    kind = "action"
 
     def trace_detail(self):
         """Short static description attached to this action's trace events."""

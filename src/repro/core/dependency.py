@@ -92,10 +92,6 @@ class DependencyTrigger(Trigger):
             self._unsubscribe = None
         self._fire = None
 
-    @property
-    def armed(self):
-        return self._unsubscribe is not None
-
 
 def convert_to_dependency_triggered(monitor, min_spacing=0):
     """Swap a loaded monitor's triggers for one dependency trigger.

@@ -260,11 +260,6 @@ class FeatureStore(DeferredFlush):
             self._drain_flush()
         return key in self._values or key in self._derived
 
-    def keys(self):
-        if self._flush is not None:
-            self._drain_flush()
-        return sorted(set(self._values) | set(self._derived))
-
     def version(self, key):
         """Monotonic change counter for a key (0 if never written)."""
         if self._flush is not None:

@@ -27,10 +27,6 @@ class FunctionSlot:
     def __call__(self, *args, **kwargs):
         return self.current(*args, **kwargs)
 
-    @property
-    def replaced(self):
-        return self.current is not self.original
-
 
 class FunctionTable:
     """Named slots plus a registry of candidate implementations."""
@@ -78,12 +74,3 @@ class FunctionTable:
         slot.current = implementation
         slot.swap_count += 1
         return slot
-
-    def restore(self, name):
-        """Rebind slot ``name`` to its original implementation."""
-        slot = self.slot(name)
-        slot.current = slot.original
-        return slot
-
-    def names(self):
-        return sorted(self._slots)

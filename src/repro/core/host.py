@@ -28,23 +28,9 @@ class ViolationReporter:
     """
 
     def __init__(self, capacity=10_000):
-        self._capacity = capacity
         self.reports = collections.deque(maxlen=capacity)
         self.notes = collections.deque(maxlen=capacity)
         self.dropped = 0
-
-    @property
-    def capacity(self):
-        return self._capacity
-
-    @capacity.setter
-    def capacity(self, value):
-        # Re-bound both rings; a shrink evicts oldest-first and counts them.
-        self.dropped += max(0, len(self.reports) - value)
-        self.dropped += max(0, len(self.notes) - value)
-        self._capacity = value
-        self.reports = collections.deque(self.reports, maxlen=value)
-        self.notes = collections.deque(self.notes, maxlen=value)
 
     def report(self, guardrail, rule, time, payload, store_snapshot, extras):
         record = {
@@ -55,12 +41,12 @@ class ViolationReporter:
             "store": store_snapshot,
             "extras": extras,
         }
-        if len(self.reports) == self.capacity:
+        if len(self.reports) == self.reports.maxlen:
             self.dropped += 1
         self.reports.append(record)
 
     def note(self, kind, guardrail, time, detail=""):
-        if len(self.notes) == self.capacity:
+        if len(self.notes) == self.notes.maxlen:
             self.dropped += 1
         self.notes.append({
             "kind": kind,
@@ -68,9 +54,6 @@ class ViolationReporter:
             "time": time,
             "detail": detail,
         })
-
-    def reports_for(self, guardrail):
-        return [r for r in self.reports if r["guardrail"] == guardrail]
 
     def notes_for(self, kind=None, guardrail=None):
         out = self.notes

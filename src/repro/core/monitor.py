@@ -253,10 +253,6 @@ class GuardrailMonitor:
 
     # -- introspection -----------------------------------------------------------
 
-    @property
-    def rule_sources(self):
-        return [source for source, _, _ in self.compiled.rules]
-
     def stats(self):
         return {
             "name": self.name,

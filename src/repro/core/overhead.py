@@ -17,9 +17,6 @@ class CostModel:
         self.ns_per_check = ns_per_check
         self.ns_per_action = ns_per_action
 
-    def check_cost(self, ops):
-        return self.ns_per_check + ops * self.ns_per_op
-
     def action_cost(self):
         return self.ns_per_action
 
@@ -37,26 +34,12 @@ class OverheadAccount:
     def charge_check(self, ops):
         self.checks += 1
         self.ops += ops
-        # check_cost() inlined: charge_check is on every monitor check.
         cost = self.cost_model
         self.simulated_ns += cost.ns_per_check + ops * cost.ns_per_op
 
     def charge_action(self):
         self.actions += 1
         self.simulated_ns += self.cost_model.action_cost()
-
-    def overhead_fraction(self, elapsed_ns):
-        """Monitor time as a fraction of elapsed virtual time."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.simulated_ns / elapsed_ns
-
-    def merge(self, other):
-        self.checks += other.checks
-        self.ops += other.ops
-        self.actions += other.actions
-        self.simulated_ns += other.simulated_ns
-        return self
 
     def snapshot(self):
         return {
@@ -70,10 +53,10 @@ class OverheadAccount:
 class InferenceMeter:
     """Cost/benefit ledger for a learned policy itself (P5).
 
-    ``record_inference`` charges model-inference time; ``record_gain``
-    credits measured benefit versus the baseline (both in ns).  The P5 rule
-    is then simply ``LOAD(policy.net_benefit) >= 0`` — inference overhead
-    must be offset by its gains.
+    ``record_inference`` charges model-inference time; ``record_decision``
+    charges it together with the measured benefit versus the baseline (both
+    in ns).  The P5 rule is then simply ``LOAD(policy.net_benefit) >= 0`` —
+    inference overhead must be offset by its gains.
 
     A cumulative ledger can hide a regression behind months of banked
     gains, so ``record_decision`` additionally maintains
@@ -98,10 +81,6 @@ class InferenceMeter:
     def record_inference(self, ns):
         self.inference_ns += ns
         self.inferences += 1
-        self._publish()
-
-    def record_gain(self, ns):
-        self.gain_ns += ns
         self._publish()
 
     def record_decision(self, inference_ns, gain_ns):

@@ -99,9 +99,6 @@ class GuardrailManager:
     def total_overhead_ns(self):
         return sum(m.overhead.simulated_ns for m in self._monitors.values())
 
-    def total_violations(self):
-        return sum(m.violation_count for m in self._monitors.values())
-
     def stats(self):
         return {name: self._monitors[name].stats() for name in self.names()}
 

@@ -105,7 +105,3 @@ class RetrainDaemon:
             TRACER.end(request.pop("_trace_span", None), now)
         if entry["on_complete"] is not None:
             entry["on_complete"](result, request)
-
-    @property
-    def in_flight(self):
-        return frozenset(self._in_flight)

@@ -7,8 +7,7 @@ the tests use to check grammar coverage.
 
 
 class Node:
-    def to_source(self):
-        raise NotImplementedError
+    """Base AST node; every subclass renders itself with ``to_source()``."""
 
     def __repr__(self):
         return "{}({})".format(type(self).__name__, self.to_source())

@@ -7,19 +7,11 @@ on every call of a kernel function (FUNCTION, immediate, per-call cost).
 
 
 class Trigger:
-    """Base runtime trigger; subclasses arm against a monitor host."""
+    """Base runtime trigger; subclasses arm against a monitor host.
 
-    def arm(self, host, fire):
-        """Start delivering ``fire(payload)`` callbacks.  Returns nothing."""
-        raise NotImplementedError
-
-    def disarm(self):
-        """Stop delivering callbacks.  Idempotent."""
-        raise NotImplementedError
-
-    @property
-    def armed(self):
-        raise NotImplementedError
+    ``arm(host, fire)`` starts delivering ``fire(payload)`` callbacks;
+    ``disarm()`` stops them and is idempotent.
+    """
 
 
 class TimerTrigger(Trigger):
@@ -76,10 +68,6 @@ class TimerTrigger(Trigger):
             self._event = None
         self._fire = None
 
-    @property
-    def armed(self):
-        return self._fire is not None
-
     def __repr__(self):
         return "TimerTrigger(interval={}, start={}, stop={})".format(
             self.interval, self.start, self.stop
@@ -118,10 +106,6 @@ class FunctionTrigger(Trigger):
             self._probe.detach()
             self._probe = None
         self._fire = None
-
-    @property
-    def armed(self):
-        return self._probe is not None
 
     def __repr__(self):
         return "FunctionTrigger({!r})".format(self.function_name)

@@ -29,63 +29,6 @@ def ks_statistic(reference, live):
     return max(abs(a - b) for a, b in zip(reference.cdf(), live.cdf()))
 
 
-def range_violation_fraction(live):
-    """Fraction of live samples outside the reference [lo, hi] range."""
-    return live.out_of_range_fraction()
-
-
-def quartile_shift(reference_quartiles, live_quartiles, scale):
-    """Largest absolute quartile shift, normalized by ``scale``.
-
-    ``reference_quartiles`` / ``live_quartiles`` are (q25, q50, q75) tuples;
-    ``scale`` is typically the reference IQR so the result is unit-free.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive, got {}".format(scale))
-    return max(
-        abs(live - ref) / scale
-        for ref, live in zip(reference_quartiles, live_quartiles)
-    )
-
-
-class DriftReport:
-    """Bundle of drift metrics for one feature, with a single verdict."""
-
-    def __init__(self, feature, psi, ks, out_of_range, psi_threshold=0.25,
-                 ks_threshold=0.2, range_threshold=0.05):
-        self.feature = feature
-        self.psi = psi
-        self.ks = ks
-        self.out_of_range = out_of_range
-        self.psi_threshold = psi_threshold
-        self.ks_threshold = ks_threshold
-        self.range_threshold = range_threshold
-
-    @property
-    def drifted(self):
-        return (
-            self.psi > self.psi_threshold
-            or self.ks > self.ks_threshold
-            or self.out_of_range > self.range_threshold
-        )
-
-    @classmethod
-    def from_histograms(cls, feature, reference, live, **thresholds):
-        return cls(
-            feature,
-            psi=population_stability_index(reference, live),
-            ks=ks_statistic(reference, live),
-            out_of_range=range_violation_fraction(live),
-            **thresholds,
-        )
-
-    def __repr__(self):
-        return (
-            "DriftReport({!r}, psi={:.4f}, ks={:.4f}, oor={:.4f}, drifted={})"
-            .format(self.feature, self.psi, self.ks, self.out_of_range, self.drifted)
-        )
-
-
 def _require_compatible(reference, live):
     if not reference.compatible_with(live):
         raise ValueError(

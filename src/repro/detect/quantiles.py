@@ -2,10 +2,36 @@
 
 Tracks one quantile with five markers in O(1) memory — the right tool for
 in-kernel percentile tracking where storing all samples is out of the
-question.
+question.  :func:`_percentile` is the exact form over a sorted sample, for
+callers that do keep every value.
 """
 
 import math
+
+
+def _percentile(ordered, q):
+    """The ``q``-th percentile (0..100) of the sorted sample ``ordered``."""
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lo = int(math.floor(rank))
+    hi = int(math.ceil(rank))
+    if lo == hi:
+        return float(ordered[lo])
+    frac = rank - lo
+    return _lerp(ordered[lo], ordered[hi], frac)
+
+
+def _lerp(a, b, frac):
+    """Interpolate between ordered samples ``a <= b``, order-safely.
+
+    ``a*(1-frac) + b*frac`` is not monotone at the edge of the float grid
+    (denormals make q25 > q50 for identical samples).  The single-product
+    form is monotone in ``frac``; the clamp pins the result inside
+    ``[a, b]`` so percentiles of a sorted sample are always ordered.
+    """
+    value = a + frac * (b - a)
+    return a if value < a else (b if value > b else value)
 
 
 class P2Quantile:
@@ -208,8 +234,6 @@ class P2Quantile:
             return self._heights[2]
         if not self._initial:
             return math.nan
-        from repro.detect.windows import _lerp
-
         ordered = sorted(self._initial)
         rank = self.q * (len(ordered) - 1)
         lo = int(math.floor(rank))

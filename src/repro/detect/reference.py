@@ -2,11 +2,9 @@
 
 Built once from the training set, a :class:`ReferenceDistribution` is what a
 P1 in-distribution guardrail compares live inputs against.  It stores the
-range, quartiles, and a histogram of each feature, and can manufacture an
-empty live histogram with matching bins.
+range and a histogram of each feature, and can manufacture an empty live
+histogram with matching bins.
 """
-
-import math
 
 from repro.detect.histogram import Histogram
 
@@ -14,11 +12,10 @@ from repro.detect.histogram import Histogram
 class ReferenceDistribution:
     """Summary of one feature's training distribution."""
 
-    def __init__(self, name, lo, hi, quartiles, histogram):
+    def __init__(self, name, lo, hi, histogram):
         self.name = name
         self.lo = lo
         self.hi = hi
-        self.quartiles = tuple(quartiles)
         self.histogram = histogram
 
     @classmethod
@@ -42,35 +39,13 @@ class ReferenceDistribution:
         hi += span * margin
         histogram = Histogram(lo, hi, bins)
         histogram.update_many(values)
-        quartiles = tuple(_percentile(values, q) for q in (25, 50, 75))
-        return cls(name, lo, hi, quartiles, histogram)
-
-    @property
-    def iqr(self):
-        q25, _, q75 = self.quartiles
-        iqr = q75 - q25
-        return iqr if iqr > 0 else max(abs(q75), 1.0)
+        return cls(name, lo, hi, histogram)
 
     def new_live_histogram(self):
         """An empty histogram with identical binning, for live samples."""
         return Histogram(self.histogram.lo, self.histogram.hi, self.histogram.bins)
 
-    def contains(self, value):
-        return self.lo <= value <= self.hi
-
     def __repr__(self):
         return "ReferenceDistribution({!r}, [{:.3g}, {:.3g}])".format(
             self.name, self.lo, self.hi
         )
-
-
-def _percentile(ordered, q):
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return float(ordered[lo])
-    frac = rank - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac

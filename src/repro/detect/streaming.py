@@ -65,68 +65,13 @@ class Ewma:
         self._value = None
 
 
-class MeanVariance:
-    """Welford's online mean/variance."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value):
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        return self._mean
-
-    @property
-    def mean(self):
-        return math.nan if self.count == 0 else self._mean
-
-    @property
-    def variance(self):
-        """Sample variance (n-1 denominator); NaN until two samples."""
-        if self.count < 2:
-            return math.nan
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self):
-        v = self.variance
-        return math.nan if math.isnan(v) else math.sqrt(v)
-
-    def merge(self, other):
-        """Combine with another estimator (parallel Welford merge)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            return self
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        return self
-
-    def reset(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-
 class SummaryDigest:
     """Mergeable count/mean/variance/min/max summary of a sample set.
 
-    The cross-host form of a :class:`MeanVariance`: hosts summarize their
-    local samples (a :class:`~repro.detect.windows.SlidingWindow`, a raw
-    stream), ship the five-number digest, and the aggregator merges digests
-    instead of raw samples.  The mean/variance merge is the same parallel
-    Welford combination :meth:`MeanVariance.merge` uses; min/max merge
-    exactly.
+    Welford's online mean/variance plus min/max, in cross-host form: hosts
+    summarize their local sample stream, ship the five-number digest, and
+    the aggregator merges digests instead of raw samples.  The mean/variance
+    merge is the parallel Welford combination; min/max merge exactly.
     """
 
     __slots__ = ("count", "_mean", "_m2", "_min", "_max")
@@ -137,13 +82,6 @@ class SummaryDigest:
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-
-    @classmethod
-    def from_values(cls, values):
-        digest = cls()
-        for value in values:
-            digest.update(value)
-        return digest
 
     def update(self, value):
         value = float(value)
@@ -273,10 +211,6 @@ class WindowedMean:
         if not self._samples:
             return math.nan
         return self._sum / len(self._samples)
-
-    def count(self, now):
-        self._evict(now)
-        return len(self._samples)
 
 
 class RateCounter:

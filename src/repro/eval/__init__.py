@@ -17,7 +17,6 @@ from repro.eval.calibrate import calibrate, compare_configs
 from repro.eval.dataset import DatasetError, check_dataset, load_dataset
 from repro.eval.results import (
     compare_to_baseline,
-    dumps_document,
     load_document,
 )
 from repro.eval.runner import run_eval
@@ -33,7 +32,6 @@ __all__ = [
     "check_dataset",
     "compare_configs",
     "compare_to_baseline",
-    "dumps_document",
     "load_dataset",
     "load_document",
     "paired_permutation_pvalue",

@@ -1,4 +1,4 @@
-"""Eval documents on disk: canonical serialisation and baseline diffs.
+"""Eval documents on disk: loading and baseline diffs.
 
 The committed baseline (``EVAL_baseline.json``) is a full-tier results
 document.  CI's quick runs execute a subset of its episodes, so the
@@ -14,11 +14,6 @@ failure*: still reported, but not a new break.
 """
 
 import json
-
-
-def dumps_document(document):
-    """The one canonical byte encoding of an eval/calibration document."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def load_document(path):
@@ -77,4 +72,4 @@ def compare_to_baseline(document, baseline):
     }
 
 
-__all__ = ["compare_to_baseline", "dumps_document", "load_document"]
+__all__ = ["compare_to_baseline", "load_document"]

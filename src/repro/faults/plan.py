@@ -207,9 +207,6 @@ class FaultPlan:
         return {"seed": self.seed,
                 "faults": [spec.to_dict() for spec in self.faults]}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):

@@ -57,17 +57,16 @@ class HostSpec:
     original single-policy storage host exactly.
     """
 
-    __slots__ = ("host_id", "seed", "rate_ios", "replicas", "fault_flags",
-                 "fault_seed", "drift_s", "policy", "domains", "workload")
+    __slots__ = ("host_id", "seed", "rate_ios", "fault_flags", "fault_seed",
+                 "drift_s", "policy", "domains", "workload")
 
-    def __init__(self, host_id, seed, rate_ios=400, replicas=3,
+    def __init__(self, host_id, seed, rate_ios=400,
                  fault_flags=(), fault_seed=0, drift_s=None,
                  policy="storage.shortest_queue", domains=("storage",),
                  workload="quiet"):
         self.host_id = int(host_id)
         self.seed = int(seed)
         self.rate_ios = int(rate_ios)
-        self.replicas = int(replicas)
         self.fault_flags = tuple(fault_flags)
         self.fault_seed = int(fault_seed)
         self.drift_s = None if drift_s is None else float(drift_s)
@@ -124,8 +123,7 @@ class SimulatedHost:
         from repro.kernel.storage import PoissonWorkload
 
         self.spec = spec
-        kernel, devices, volume = build_storage_kernel(
-            seed=spec.seed, replicas=spec.replicas)
+        kernel, devices, volume = build_storage_kernel(seed=spec.seed)
         self.kernel = kernel
         self.volume = volume
         if spec.policy == "storage.shortest_queue":

@@ -17,7 +17,7 @@ class Kernel(MonitorHost):
     Typical setup::
 
         kernel = Kernel(seed=42)
-        volume = kernel.attach("storage", ReplicatedVolume(kernel, replicas=3))
+        volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
         kernel.guardrails.load(spec_text)
         kernel.run(until=10 * SECOND)
     """
@@ -38,18 +38,6 @@ class Kernel(MonitorHost):
             raise ValueError("subsystem {!r} already attached".format(name))
         self._subsystems[name] = subsystem
         return subsystem
-
-    def subsystem(self, name):
-        try:
-            return self._subsystems[name]
-        except KeyError:
-            known = ", ".join(sorted(self._subsystems)) or "<none>"
-            raise KeyError(
-                "no subsystem {!r}; attached: {}".format(name, known)
-            ) from None
-
-    def __contains__(self, name):
-        return name in self._subsystems
 
     def run(self, until=None):
         """Advance the simulation (delegates to the engine)."""

@@ -9,6 +9,6 @@ baseline's, both published to the feature store.
 """
 
 from repro.kernel.cache.cache import KvCache, ShadowCache
-from repro.kernel.cache.policies import lru_evict, mru_evict, random_evict
+from repro.kernel.cache.policies import random_evict
 
-__all__ = ["KvCache", "ShadowCache", "lru_evict", "mru_evict", "random_evict"]
+__all__ = ["KvCache", "ShadowCache", "random_evict"]

@@ -7,15 +7,6 @@ from repro.kernel.cache.policies import random_evict
 from repro.sim.units import SECOND
 
 
-class _Entry:
-    __slots__ = ("inserted", "last_access", "access_count")
-
-    def __init__(self, now):
-        self.inserted = now
-        self.last_access = now
-        self.access_count = 1
-
-
 class CacheView:
     """Read-only window a policy gets over the cache contents."""
 
@@ -26,16 +17,7 @@ class CacheView:
         return self._entries.keys()
 
     def last_access(self, key):
-        return self._entries[key].last_access
-
-    def insert_time(self, key):
-        return self._entries[key].inserted
-
-    def access_count(self, key):
-        return self._entries[key].access_count
-
-    def __len__(self):
-        return len(self._entries)
+        return self._entries[key]
 
 
 class _PolicyCache:
@@ -47,20 +29,15 @@ class _PolicyCache:
         self.capacity = capacity
         self._clock = clock
         self._policy = policy
-        self._entries = collections.OrderedDict()
+        self._entries = collections.OrderedDict()  # key -> last access time
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def set_policy(self, policy):
-        self._policy = policy
-
     def access(self, key):
         now = self._clock()
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.last_access = now
-            entry.access_count += 1
+        if key in self._entries:
+            self._entries[key] = now
             self.hits += 1
             return True
         self.misses += 1
@@ -72,19 +49,8 @@ class _PolicyCache:
                 )
             del self._entries[victim]
             self.evictions += 1
-        self._entries[key] = _Entry(now)
+        self._entries[key] = now
         return False
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __contains__(self, key):
-        return key in self._entries
-
-    def __len__(self):
-        return len(self._entries)
 
 
 class ShadowCache(_PolicyCache):
@@ -145,6 +111,3 @@ class KvCache(_PolicyCache):
             self.kernel.metrics.increment(self.metric_prefix + ".hits")
         self.access_hook.fire(key=key, hit=hit)
         return hit
-
-    def shadow(self, name):
-        return self._shadows[name]

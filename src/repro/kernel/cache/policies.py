@@ -1,28 +1,10 @@
 """Eviction policies.
 
 An eviction policy is a callable ``policy(cache_view) -> key`` choosing the
-victim.  ``cache_view`` exposes the resident keys with their bookkeeping
-(insert time, last access, access count) but not the future — policies that
-need learned predictions wrap a model around these observables.
+victim.  ``cache_view`` exposes the resident keys and their last access
+time but not the future — policies that need learned predictions wrap a
+model around these observables.
 """
-
-
-def lru_evict():
-    """Evict the least recently used key."""
-
-    def policy(view):
-        return min(view.keys(), key=lambda k: (view.last_access(k), str(k)))
-
-    return policy
-
-
-def mru_evict():
-    """Evict the most recently used key (good for cyclic scans, bad otherwise)."""
-
-    def policy(view):
-        return max(view.keys(), key=lambda k: (view.last_access(k), str(k)))
-
-    return policy
 
 
 def random_evict(rng):
@@ -31,14 +13,5 @@ def random_evict(rng):
     def policy(view):
         keys = sorted(view.keys(), key=str)
         return keys[int(rng.integers(len(keys)))]
-
-    return policy
-
-
-def lfu_evict():
-    """Evict the least frequently used key."""
-
-    def policy(view):
-        return min(view.keys(), key=lambda k: (view.access_count(k), str(k)))
 
     return policy

@@ -99,15 +99,3 @@ class TieredMemory:
             self._fast.popitem(last=False)  # evict the coldest
         self._fast[page] = None
         self.migrations += 1
-
-    @property
-    def hit_rate(self):
-        if self.accesses == 0:
-            return 0.0
-        return self.fast_hits / self.accesses
-
-    def mean_access_ns(self):
-        return self.kernel.metrics.series("mm.tier_access_ns").mean()
-
-    def in_fast_tier(self, page):
-        return page in self._fast

@@ -102,6 +102,3 @@ class BottleneckLink:
                               next_rate_mbps=next_rate)
         self.rate_mbps = next_rate
         self.kernel.engine.schedule(self.rtt, self._epoch)
-
-    def mean_utilization(self):
-        return self.kernel.metrics.series("net.utilization").mean()

@@ -13,8 +13,7 @@
 
 from repro.kernel.storage.batch import CompletionIngest
 from repro.kernel.storage.ssd import DeviceProfile, SsdDevice
-from repro.kernel.storage.trace import (PoissonWorkload, ReplayWorkload,
-                                        schedule_profile_change)
+from repro.kernel.storage.trace import PoissonWorkload, schedule_profile_change
 from repro.kernel.storage.volume import IoRequest, PickDecision, ReplicatedVolume
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "DeviceProfile",
     "SsdDevice",
     "PoissonWorkload",
-    "ReplayWorkload",
     "schedule_profile_change",
     "IoRequest",
     "PickDecision",

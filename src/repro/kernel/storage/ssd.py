@@ -72,10 +72,6 @@ class DeviceProfile:
                    fast_duration_ns=5_000_000, slow_duration_ns=3_000_000,
                    dwell_jitter=0.15)
 
-    def stationary_slow_fraction(self):
-        total = self.fast_duration_ns + self.slow_duration_ns
-        return self.slow_duration_ns / total
-
     def __repr__(self):
         return "DeviceProfile({!r})".format(self.name)
 

@@ -59,37 +59,6 @@ class PoissonWorkload:
         self._schedule_next()
 
 
-class ReplayWorkload:
-    """Replays an explicit list of submit times (deterministic traces).
-
-    ``arrivals`` is an iterable of absolute virtual times (ns), optionally
-    ``(time, is_write)`` pairs.  Useful for regression tests and for
-    replaying externally generated traces without Poisson randomness.
-    """
-
-    def __init__(self, kernel, volume, arrivals):
-        self.kernel = kernel
-        self.volume = volume
-        self.submitted = 0
-        self._arrivals = []
-        for entry in arrivals:
-            if isinstance(entry, tuple):
-                time, is_write = entry
-            else:
-                time, is_write = entry, False
-            self._arrivals.append((int(time), bool(is_write)))
-        self._arrivals.sort(key=lambda e: e[0])
-
-    def start(self):
-        for time, is_write in self._arrivals:
-            self.kernel.engine.schedule_at(time, self._issue, is_write)
-        return self
-
-    def _issue(self, is_write):
-        self.volume.submit(is_write=is_write)
-        self.submitted += 1
-
-
 def schedule_profile_change(kernel, devices, profile, at_time):
     """Switch every device in ``devices`` to ``profile`` at ``at_time``.
 

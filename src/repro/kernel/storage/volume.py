@@ -171,13 +171,3 @@ class ReplicatedVolume:
             predicted_fast=predicted_fast,
             false_submit=false_submit,
         )
-
-    # -- summary ------------------------------------------------------------
-
-    def false_submit_fraction(self):
-        if self.model_submits == 0:
-            return 0.0
-        return self.false_submits / self.model_submits
-
-    def mean_latency_us(self):
-        return self.kernel.metrics.series(self.metric_prefix + ".io_latency_us").mean()

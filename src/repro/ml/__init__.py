@@ -7,40 +7,23 @@ has no opaque dependencies:
 
 - :class:`~repro.ml.mlp.Mlp` — fully-connected network with ReLU hidden
   layers, sigmoid/softmax/linear heads, manual backprop;
-- :mod:`~repro.ml.train` — SGD and Adam, minibatch training loops,
-  classification/regression metrics;
+- :mod:`~repro.ml.train` — the Adam optimizer and the minibatch training
+  loop;
 - :class:`~repro.ml.qlearn.QLearner` — tabular Q-learning for the
   tiered-memory placement policy;
 - :class:`~repro.ml.features.Normalizer` — train-time feature scaling
-  reapplied at inference;
-- :mod:`~repro.ml.datasets` — synthetic dataset builders used by tests.
+  reapplied at inference.
 """
 
-from repro.ml.datasets import make_classification, make_regression
 from repro.ml.features import Normalizer
 from repro.ml.mlp import Mlp
 from repro.ml.qlearn import QLearner
-from repro.ml.train import (
-    Adam,
-    Sgd,
-    accuracy,
-    binary_cross_entropy,
-    confusion_counts,
-    mean_squared_error,
-    train_classifier,
-)
+from repro.ml.train import Adam, train_classifier
 
 __all__ = [
-    "make_classification",
-    "make_regression",
     "Normalizer",
     "Mlp",
     "QLearner",
     "Adam",
-    "Sgd",
-    "accuracy",
-    "binary_cross_entropy",
-    "confusion_counts",
-    "mean_squared_error",
     "train_classifier",
 ]

@@ -84,15 +84,6 @@ class Mlp:
             h = np.maximum(z, 0.0) if i < last else self._apply_head(z)
         return h
 
-    def predict_class(self, x, threshold=0.5):
-        """Hard decisions: 0/1 for sigmoid, argmax for softmax."""
-        out = self.predict(x)
-        if self.head == "sigmoid":
-            return (out[:, 0] >= threshold).astype(int)
-        if self.head == "softmax":
-            return out.argmax(axis=1)
-        raise ValueError("predict_class needs a classifier head")
-
     # -- training --------------------------------------------------------------
 
     def loss_and_gradients(self, x, y):
@@ -134,10 +125,6 @@ class Mlp:
                 delta = (delta @ self.weights[i].T) * (pre_activations[i - 1] > 0)
         return float(loss), grad_w, grad_b
 
-    def parameters(self):
-        """Flat list of (array, gradient-slot-index) for optimizers."""
-        return self.weights + self.biases
-
     def apply_gradients(self, grad_w, grad_b, updater):
         """Apply one optimizer step; ``updater(param_index, param, grad)``."""
         for i, (w, g) in enumerate(zip(self.weights, grad_w)):
@@ -145,24 +132,3 @@ class Mlp:
         offset = len(self.weights)
         for i, (b, g) in enumerate(zip(self.biases, grad_b)):
             updater(offset + i, b, g)
-
-    # -- persistence ---------------------------------------------------------
-
-    def state_dict(self):
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "head": self.head,
-            "weights": [w.copy() for w in self.weights],
-            "biases": [b.copy() for b in self.biases],
-        }
-
-    def load_state_dict(self, state):
-        if state["layer_sizes"] != self.layer_sizes or state["head"] != self.head:
-            raise ValueError("state_dict architecture mismatch")
-        self.weights = [w.copy() for w in state["weights"]]
-        self.biases = [b.copy() for b in state["biases"]]
-
-    def clone(self):
-        other = Mlp(self.layer_sizes, head=self.head)
-        other.load_state_dict(self.state_dict())
-        return other

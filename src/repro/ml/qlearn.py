@@ -45,11 +45,3 @@ class QLearner:
         target = reward + self.discount * future
         values[action] += self.learning_rate * (target - values[action])
         self.update_count += 1
-
-    @property
-    def state_count(self):
-        return len(self._q)
-
-    def reset(self):
-        self._q.clear()
-        self.update_count = 0

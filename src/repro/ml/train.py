@@ -1,26 +1,6 @@
-"""Optimizers, training loops, and metrics."""
+"""The Adam optimizer and the minibatch training loop."""
 
 import numpy as np
-
-
-class Sgd:
-    """Plain SGD with optional momentum."""
-
-    def __init__(self, learning_rate=0.05, momentum=0.0):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity = {}
-
-    def __call__(self, index, param, grad):
-        if self.momentum:
-            v = self._velocity.get(index)
-            if v is None:
-                v = np.zeros_like(param)
-            v = self.momentum * v - self.learning_rate * grad
-            self._velocity[index] = v
-            param += v
-        else:
-            param -= self.learning_rate * grad
 
 
 class Adam:
@@ -54,12 +34,8 @@ class Adam:
 
 
 def train_classifier(model, x, y, epochs=20, batch_size=64, optimizer=None,
-                     seed=0, validation=None):
-    """Minibatch-train ``model``; returns per-epoch history.
-
-    ``validation`` is an optional ``(x_val, y_val)`` pair; when given, each
-    epoch records validation accuracy too.
-    """
+                     seed=0):
+    """Minibatch-train ``model``; returns per-epoch history."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if len(x) != len(y):
@@ -77,47 +53,5 @@ def train_classifier(model, x, y, epochs=20, batch_size=64, optimizer=None,
             model.apply_gradients(grad_w, grad_b, optimizer)
             epoch_loss += loss
             batches += 1
-        record = {"epoch": epoch, "loss": epoch_loss / max(batches, 1)}
-        if validation is not None:
-            x_val, y_val = validation
-            record["val_accuracy"] = accuracy(model.predict_class(x_val), y_val)
-        history.append(record)
+        history.append({"epoch": epoch, "loss": epoch_loss / max(batches, 1)})
     return history
-
-
-def accuracy(predicted, actual):
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape:
-        raise ValueError("shape mismatch: {} vs {}".format(predicted.shape, actual.shape))
-    if predicted.size == 0:
-        return float("nan")
-    return float(np.mean(predicted == actual))
-
-
-def confusion_counts(predicted, actual):
-    """Binary confusion counts as a dict (tp, fp, tn, fn)."""
-    predicted = np.asarray(predicted).astype(bool)
-    actual = np.asarray(actual).astype(bool)
-    return {
-        "tp": int(np.sum(predicted & actual)),
-        "fp": int(np.sum(predicted & ~actual)),
-        "tn": int(np.sum(~predicted & ~actual)),
-        "fn": int(np.sum(~predicted & actual)),
-    }
-
-
-def binary_cross_entropy(probabilities, actual):
-    probabilities = np.asarray(probabilities, dtype=float).reshape(-1)
-    actual = np.asarray(actual, dtype=float).reshape(-1)
-    eps = 1e-12
-    return float(-np.mean(
-        actual * np.log(probabilities + eps)
-        + (1 - actual) * np.log(1 - probabilities + eps)
-    ))
-
-
-def mean_squared_error(predicted, actual):
-    predicted = np.asarray(predicted, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    return float(np.mean((predicted - actual) ** 2))

@@ -164,6 +164,3 @@ class PolicyInstrumentation:
         if sensitivity is not None and output is not None and sensitivity.due():
             rows = np.atleast_2d(np.asarray(features, dtype=float))
             sensitivity.probe(rows[0], output)
-
-    def record_gain(self, ns):
-        self.meter.record_gain(ns)

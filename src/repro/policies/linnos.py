@@ -135,9 +135,6 @@ class OnlineSampleBuffer:
         if features is not None:
             self._samples.append((features, 1 if payload["slow"] else 0))
 
-    def __len__(self):
-        return len(self._samples)
-
     def dataset(self, last=None):
         """The most recent ``last`` samples as (features, labels) arrays."""
         samples = list(self._samples)

@@ -72,8 +72,3 @@ class ReadaheadSimulator:
             if hasattr(self.policy, "observe_run"):
                 self.policy.observe_run(run_length)
         return self.total_cost_us
-
-    def cost_per_run(self):
-        if self.decisions == 0:
-            return 0.0
-        return self.total_cost_us / self.decisions

@@ -63,22 +63,18 @@ guardrail zoo-storage-false-submit {
 
 
 def attach_storage(kernel, workload="quiet", policy="learned",
-                   duration_ns=8 * SECOND, replicas=3):
-    from repro.bench.scenarios import shortest_queue_policy
+                   duration_ns=8 * SECOND):
+    from repro.bench.scenarios import (
+        attach_replicated_volume,
+        shortest_queue_policy,
+    )
     from repro.kernel.storage import (
         DeviceProfile,
         PoissonWorkload,
-        ReplicatedVolume,
-        SsdDevice,
         schedule_profile_change,
     )
 
-    devices = [
-        SsdDevice(kernel.engine, kernel.engine.rng.get("ssd{}".format(i)),
-                  "ssd{}".format(i), DeviceProfile.pre_drift())
-        for i in range(replicas)
-    ]
-    volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
+    devices, volume = attach_replicated_volume(kernel)
     if policy == "learned":
         volume.install_policy("storage.shortest_queue",
                               shortest_queue_policy())

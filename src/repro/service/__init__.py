@@ -21,7 +21,6 @@ from repro.service.loop import (
     resume,
     serve_rollout,
     serve_soak,
-    summary_json,
 )
 from repro.service.store import (
     ResultsStore,
@@ -40,5 +39,4 @@ __all__ = [
     "resume",
     "serve_rollout",
     "serve_soak",
-    "summary_json",
 ]

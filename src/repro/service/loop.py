@@ -18,8 +18,6 @@ round is ever duplicated or lost, and a resumed run's store is
 byte-identical to an uninterrupted one.
 """
 
-import json
-
 from repro.fleet.rollout import RolloutController, RolloutObserver
 from repro.fleet.scenario import build_fleet_rollout, make_fleet_specs
 from repro.fleet.worker import FleetRunner
@@ -203,7 +201,14 @@ def resume(store, run_id=None, jobs=1, max_rounds=None):
                           "committed_round": run["committed_round"]})
     watermark = run["committed_round"]
     if run["kind"] == "rollout":
-        built = build_fleet_rollout(**_rollout_kwargs(run["scenario"]))
+        scenario = run["scenario"]
+        built = build_fleet_rollout(
+            hosts=scenario["hosts"], stages=scenario["stages"],
+            seed=scenario["seed"], fault_hosts=scenario["fault_hosts"],
+            # Stores written before fault kinds existed hold corrupt-fault
+            # runs, the only kind there was.
+            fault_kind=scenario.get("fault_kind", "corrupt"),
+            quick=scenario["quick"])
         return _drive_rollout(store, run_id, built, jobs=jobs,
                               max_rounds=max_rounds, skip_through=watermark)
     if run["kind"] == "soak":
@@ -216,15 +221,6 @@ def resume(store, run_id=None, jobs=1, max_rounds=None):
                 run_id, run["kind"]))
     raise ServiceError("run {} has unknown kind {!r}".format(
         run_id, run["kind"]))
-
-
-def _rollout_kwargs(scenario):
-    return {"hosts": scenario["hosts"], "stages": scenario["stages"],
-            "seed": scenario["seed"], "fault_hosts": scenario["fault_hosts"],
-            # Stores written before fault kinds existed hold corrupt-fault
-            # runs, the only kind there was.
-            "fault_kind": scenario.get("fault_kind", "corrupt"),
-            "quick": scenario["quick"]}
 
 
 def _drive_rollout(store, run_id, built, jobs, max_rounds, skip_through):
@@ -274,16 +270,10 @@ def _drive_soak(store, run_id, scenario, jobs, max_rounds, skip_through):
     return _summary(run_id, "soak", "completed", observer, store)
 
 
-def summary_json(summary):
-    """Deterministic JSON text for a serve/resume summary."""
-    return json.dumps(summary, indent=2, sort_keys=True)
-
-
 __all__ = [
     "ServiceError",
     "StoreObserver",
     "resume",
     "serve_rollout",
     "serve_soak",
-    "summary_json",
 ]

@@ -2,16 +2,14 @@
 
 The paper's guardrail monitors run inside a real kernel (eBPF / kernel
 modules).  This package provides the substitute substrate: a deterministic
-discrete-event engine with a virtual nanosecond clock, coroutine-style
-processes, kprobe-like function hooks, seeded RNG streams, and a metric
-recorder.  Every simulated kernel subsystem (storage, memory, scheduler,
-cache, network) is built on top of it.
+discrete-event engine with a virtual nanosecond clock, kprobe-like function
+hooks, seeded RNG streams, and a metric recorder.  Every simulated kernel
+subsystem (storage, memory, scheduler, cache, network) is built on top of it.
 """
 
 from repro.sim.engine import Engine, Event, SimulationError
 from repro.sim.hooks import HookPoint, HookRegistry, Probe
 from repro.sim.metrics import MetricRecorder, TimeSeries
-from repro.sim.process import Process, sleep, wait
 from repro.sim.rng import RngStreams
 from repro.sim.units import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
 
@@ -24,9 +22,6 @@ __all__ = [
     "Probe",
     "MetricRecorder",
     "TimeSeries",
-    "Process",
-    "sleep",
-    "wait",
     "RngStreams",
     "NANOSECOND",
     "MICROSECOND",

@@ -13,8 +13,7 @@ instead would let ``schedule_at(now + 0.9)`` fire at ``now`` — in the past
 relative to the request.)
 
 The engine deliberately has no knowledge of kernels, policies, or guardrails;
-those are layered on top through callbacks, :mod:`repro.sim.hooks`, and
-:mod:`repro.sim.process`.
+those are layered on top through callbacks and :mod:`repro.sim.hooks`.
 """
 
 import heapq
@@ -81,7 +80,6 @@ class Engine:
         self._seq = 0
         self._now = 0
         self._running = False
-        self._stopped = False
         from repro.sim.rng import RngStreams
 
         self.rng = RngStreams(seed)
@@ -143,49 +141,19 @@ class Engine:
         self._pending += 1
         return event
 
-    def stop(self):
-        """Stop the run loop after the current event finishes."""
-        self._stopped = True
-
-    def peek(self):
-        """Timestamp of the next pending event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def step(self):
-        """Fire the next event.  Returns ``False`` when the queue is empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                continue
-            self._pending -= 1
-            self._now = event.time
-            event.fired = True
-            event.callback(*event.args)
-            return True
-        return False
-
     def run(self, until=None):
-        """Run until the queue drains, ``stop()`` is called, or ``until`` is reached.
+        """Run until the queue drains or ``until`` is reached.
 
         When nothing is left to fire before ``until`` the clock is advanced
-        to exactly ``until``, even if the last event fired earlier.  A run
-        ended by ``stop()`` leaves the clock at the last fired event: events
-        still pending fire on the next ``run()``, not in its past.
+        to exactly ``until``, even if the last event fired earlier.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
         heap = self._heap
         pop = heapq.heappop
         try:
-            while not self._stopped:
+            while True:
                 # (A cancelled head past ``until`` ends the run too.)
                 if not heap or (until is not None and heap[0][0] > until):
                     if until is not None and self._now < until:

@@ -30,10 +30,6 @@ class Probe:
             self._attached_to._remove(self)
             self._attached_to = None
 
-    @property
-    def attached(self):
-        return self._attached_to is not None
-
 
 class HookPoint:
     """A named location in simulated kernel code where probes may fire."""
@@ -117,10 +113,6 @@ class HookPoint:
                         pass
                 del self._deferred_removals[:]
 
-    @property
-    def probe_count(self):
-        return len(self._probes)
-
 
 class HookRegistry:
     """All hook points of a simulated kernel, keyed by dotted name.
@@ -149,9 +141,3 @@ class HookRegistry:
             raise KeyError(
                 "unknown hook point {!r}; declared points: {}".format(name, known)
             ) from None
-
-    def __contains__(self, name):
-        return name in self._points
-
-    def names(self):
-        return sorted(self._points)

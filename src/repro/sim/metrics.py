@@ -39,11 +39,6 @@ class TimeSeries:
             return math.nan
         return sum(self.values) / len(self.values)
 
-    def last(self):
-        if not self.values:
-            return None
-        return self.values[-1]
-
     def window(self, start_time, end_time):
         """Samples with ``start_time <= t < end_time`` as a list of pairs."""
         return [
@@ -73,7 +68,7 @@ class TimeSeries:
         """The ``q``-th percentile (0..100) of all values, NaN when empty."""
         if not self.values:
             return math.nan
-        from repro.detect.windows import _percentile
+        from repro.detect.quantiles import _percentile
 
         return _percentile(sorted(self.values), q)
 
@@ -109,9 +104,9 @@ class DeferredFlush:
 class MetricRecorder(DeferredFlush):
     """Named counters and time series for one simulation run.
 
-    Readers (:meth:`series`, :meth:`counter`, :meth:`names`,
-    :meth:`snapshot`) drain any armed :class:`DeferredFlush` first; writers
-    do not, so a subsystem recording its own names never forces a drain.
+    Readers (:meth:`series`, :meth:`counter`, :meth:`snapshot`) drain any
+    armed :class:`DeferredFlush` first; writers do not, so a subsystem
+    recording its own names never forces a drain.
     """
 
     def __init__(self, engine):
@@ -156,11 +151,6 @@ class MetricRecorder(DeferredFlush):
         if name not in self._series:
             self._series[name] = TimeSeries(name)
         return self._series[name]
-
-    def names(self):
-        if self._flush is not None:
-            self._drain_flush()
-        return sorted(set(self._series) | set(self._counters))
 
     def snapshot(self):
         """Counters plus series summary stats, for reports and tests."""

@@ -16,24 +16,12 @@ class RngStreams:
         self._seed = int(seed)
         self._streams = {}
 
-    @property
-    def seed(self):
-        """The base seed all named streams are derived from."""
-        return self._seed
-
     def get(self, name):
         """Return the generator for ``name``, creating it deterministically."""
         if name not in self._streams:
             child = np.random.default_rng([self._seed, _stable_hash(name)])
             self._streams[name] = child
         return self._streams[name]
-
-    def reset(self, name=None):
-        """Forget one stream (or all) so the next ``get`` re-creates it fresh."""
-        if name is None:
-            self._streams.clear()
-        else:
-            self._streams.pop(name, None)
 
 
 def _stable_hash(name):

@@ -16,26 +16,6 @@ def ns_to_us(ns):
     return ns / MICROSECOND
 
 
-def ns_to_ms(ns):
-    """Convert integer nanoseconds to float milliseconds."""
-    return ns / MILLISECOND
-
-
-def ns_to_s(ns):
-    """Convert integer nanoseconds to float seconds."""
-    return ns / SECOND
-
-
 def us(value):
     """Microseconds (possibly fractional) to integer nanoseconds."""
     return int(round(value * MICROSECOND))
-
-
-def ms(value):
-    """Milliseconds (possibly fractional) to integer nanoseconds."""
-    return int(round(value * MILLISECOND))
-
-
-def seconds(value):
-    """Seconds (possibly fractional) to integer nanoseconds."""
-    return int(round(value * SECOND))

@@ -15,14 +15,12 @@ from repro.trace.events import CATEGORIES, PHASE_INSTANT, PHASE_SPAN, TraceEvent
 from repro.trace.export import (
     chrome_trace_dict,
     read_jsonl,
-    save_chrome_trace,
-    save_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.trace.ring import RingBuffer
 from repro.trace.summary import render_summary, summarize_events, summarize_tracer
-from repro.trace.tracer import TRACER, GuardrailCounters, Tracer, get_tracer, tracing
+from repro.trace.tracer import TRACER, GuardrailCounters, Tracer, tracing
 
 __all__ = [
     "CATEGORIES",
@@ -33,14 +31,11 @@ __all__ = [
     "Tracer",
     "GuardrailCounters",
     "TRACER",
-    "get_tracer",
     "tracing",
     "read_jsonl",
     "write_jsonl",
-    "save_jsonl",
     "chrome_trace_dict",
     "write_chrome_trace",
-    "save_chrome_trace",
     "summarize_events",
     "summarize_tracer",
     "render_summary",

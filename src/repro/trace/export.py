@@ -37,11 +37,6 @@ def write_jsonl(events, fp):
     return count
 
 
-def save_jsonl(events, path):
-    with open(path, "w") as fp:
-        return write_jsonl(events, fp)
-
-
 def read_jsonl(fp_or_path):
     """Load a JSONL trace back into :class:`TraceEvent` objects."""
     if isinstance(fp_or_path, str):
@@ -100,8 +95,3 @@ def chrome_trace_dict(events, pid=1):
 
 def write_chrome_trace(events, fp, pid=1):
     json.dump(chrome_trace_dict(events, pid=pid), fp)
-
-
-def save_chrome_trace(events, path, pid=1):
-    with open(path, "w") as fp:
-        write_chrome_trace(events, fp, pid=pid)

@@ -20,10 +20,6 @@ class RingBuffer:
         self._total = 0
 
     @property
-    def capacity(self):
-        return self._capacity
-
-    @property
     def total(self):
         """Items ever appended (including overwritten ones)."""
         return self._total
@@ -40,9 +36,6 @@ class RingBuffer:
     def __len__(self):
         return min(self._total, self._capacity)
 
-    def __bool__(self):
-        return self._total > 0
-
     def __iter__(self):
         """Oldest retained item first."""
         if self._total <= self._capacity:
@@ -55,10 +48,6 @@ class RingBuffer:
     def snapshot(self):
         """Retained items as a list, oldest first."""
         return list(self)
-
-    def clear(self):
-        self._slots = [None] * self._capacity
-        self._total = 0
 
     def __repr__(self):
         return "RingBuffer(len={}, capacity={}, dropped={})".format(

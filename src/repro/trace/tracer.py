@@ -77,11 +77,12 @@ class _Span:
 class Tracer:
     """Ring-buffered structured tracing with per-category controls."""
 
-    __slots__ = ("active", "buffer", "seed", "_every", "_phase", "_count",
-                 "_seq", "_grs")
+    __slots__ = ("active", "capacity", "buffer", "seed", "_every", "_phase",
+                 "_count", "_seq", "_grs")
 
     def __init__(self, capacity=65536, seed=0):
         self.active = False
+        self.capacity = capacity
         self.buffer = RingBuffer(capacity)
         self.seed = seed
         # sample rate per category: 0 = category disabled, N = 1-in-N.
@@ -101,9 +102,8 @@ class Tracer:
         stream (counters stay exact).  ``seed`` fixes the sampling phase.
         """
         if capacity is not None:
-            self.buffer = RingBuffer(capacity)
-        else:
-            self.buffer.clear()
+            self.capacity = capacity
+        self.buffer = RingBuffer(self.capacity)
         if seed is not None:
             self.seed = seed
         enabled = set(CATEGORIES if categories is None else categories)
@@ -131,19 +131,6 @@ class Tracer:
     def stop(self):
         """Deactivate; the buffer and counters stay readable."""
         self.active = False
-
-    def set_category(self, category, enabled=True, sample_every=None):
-        """Enable/disable one category (optionally with 1-in-N sampling)."""
-        if category not in self._every:
-            raise ValueError("unknown trace category {!r}".format(category))
-        every = (sample_every if sample_every is not None else 1) if enabled else 0
-        self._every[category] = every
-        self._phase[category] = (
-            _phase_for(self.seed, category, every) if every > 1 else 0
-        )
-
-    def category_enabled(self, category):
-        return self._every.get(category, 0) != 0
 
     # -- emission ----------------------------------------------------------
 
@@ -240,10 +227,6 @@ class Tracer:
 #: The process-global tracer.  Tracepoints import this instance once and
 #: guard on ``TRACER.active``; it is configured in place, never replaced.
 TRACER = Tracer()
-
-
-def get_tracer():
-    return TRACER
 
 
 @contextlib.contextmanager

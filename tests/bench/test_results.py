@@ -11,7 +11,6 @@ from repro.bench.results import (
     deterministic_view,
     load_document,
     make_document,
-    save_document,
 )
 
 
@@ -155,7 +154,7 @@ def test_document_round_trip_and_schema_check(tmp_path):
     assert [s["id"] for s in document["scenarios"]] == ["a", "b"]
     assert document["schema_version"] == SCHEMA_VERSION
     path = tmp_path / "BENCH.json"
-    save_document(document, path)
+    path.write_text(json.dumps(document))
     assert load_document(path) == document
 
     bad = dict(document, schema_version=SCHEMA_VERSION + 1)

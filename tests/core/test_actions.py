@@ -12,6 +12,7 @@ from repro.core.actions import (
 )
 from repro.core.errors import ActionError
 from repro.core.expr import compile_expression
+from repro.core.host import ViolationReporter
 from repro.core.spec import ast as A
 
 
@@ -101,7 +102,7 @@ class TestSave:
 
 class TestReporterBounds:
     def test_reports_capacity_drops_oldest(self, host):
-        host.reporter.capacity = 3
+        host.reporter = ViolationReporter(capacity=3)
         for i in range(5):
             host.store.save("i", i)
             ReportAction().execute(ctx_for(host))

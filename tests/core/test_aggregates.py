@@ -95,7 +95,7 @@ class TestCompilation:
             "rule: { AVG(lat, 1s) <= 5 }, action: { REPORT() } }"
         )
         manager.load(text2)  # same derived key; must not raise
-        assert host.store.keys().count("lat.avg1000000000") == 1
+        assert "lat.avg1000000000" in host.store
 
 
 class TestSemantics:
@@ -167,7 +167,7 @@ def test_windowed_mean_estimator_directly():
     wm.observe(50, 20.0)
     assert wm.mean(50) == 15.0
     assert wm.mean(120) == 20.0   # first sample aged out
-    assert wm.count(500) == 0
+    assert math.isnan(wm.mean(500))   # every sample aged out
     with pytest.raises(ValueError):
         WindowedMean(0)
 

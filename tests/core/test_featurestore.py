@@ -139,12 +139,6 @@ class TestDerivedKeys:
         assert store.version("x.avg") == before + 1
 
 
-def test_keys_lists_raw_and_derived(store):
-    store.save("a", 1)
-    store.derive_moving_average("a", window=2)
-    assert store.keys() == ["a", "a.avg"]
-
-
 def test_snapshot_includes_values_and_skips_nan_derived(store):
     store.derive_moving_average("x", window=2)
     store.save("a", 1)

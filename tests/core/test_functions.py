@@ -1,4 +1,4 @@
-"""Function table: slots, replacement, restore."""
+"""Function table: slots and replacement."""
 
 import pytest
 
@@ -28,7 +28,6 @@ def test_replace_rebinds_slot(table):
     table.replace("policy", "fallback")
     slot = table.slot("policy")
     assert slot() == "safe"
-    assert slot.replaced
     assert slot.swap_count == 1
 
 
@@ -37,16 +36,6 @@ def test_replace_to_another_slots_implementation(table):
     table.register("b", lambda: "B")
     table.replace("a", "b")
     assert table.slot("a")() == "B"
-
-
-def test_restore_returns_to_original(table):
-    table.register("policy", lambda: "learned")
-    table.register_implementation("fallback", lambda: "safe")
-    table.replace("policy", "fallback")
-    table.restore("policy")
-    slot = table.slot("policy")
-    assert slot() == "learned"
-    assert not slot.replaced
 
 
 def test_unknown_slot_error_lists_known(table):
@@ -67,12 +56,11 @@ def test_duplicate_implementation_rejected(table):
         table.register_implementation("x", lambda: None)
 
 
-def test_contains_and_names(table):
+def test_contains(table):
     table.register("b", lambda: None)
     table.register("a", lambda: None)
     assert "a" in table
     assert "zz" not in table
-    assert table.names() == ["a", "b"]
 
 
 def test_replace_is_repeatable(table):

@@ -1,6 +1,11 @@
 """Monitor host plumbing: retrain queue, reporter, defaults."""
 
-from repro.core.host import MonitorHost, NullTaskController, RetrainQueue
+from repro.core.host import (
+    MonitorHost,
+    NullTaskController,
+    RetrainQueue,
+    ViolationReporter,
+)
 
 
 def test_host_builds_consistent_defaults():
@@ -55,17 +60,9 @@ def test_null_task_controller_records():
 
 
 def test_reporter_note_capacity():
-    host = MonitorHost()
-    host.reporter.capacity = 2
+    host = MonitorHost(reporter=ViolationReporter(capacity=2))
     for i in range(4):
         host.reporter.note("K", "g", i)
     assert len(host.reporter.notes) == 2
     assert host.reporter.dropped == 2
     assert host.reporter.notes[0]["time"] == 2
-
-
-def test_reports_for_filters_by_guardrail():
-    host = MonitorHost()
-    host.reporter.report("a", "r", 0, {}, {}, {})
-    host.reporter.report("b", "r", 0, {}, {}, {})
-    assert len(host.reporter.reports_for("a")) == 1

@@ -160,11 +160,6 @@ def test_violation_list_bounded(host):
     assert len(monitor.violations) == 2
 
 
-def test_rule_sources_property(host):
-    monitor = load(host, SIMPLE, arm=False)
-    assert monitor.rule_sources == ["(LOAD(metric) <= 10)"]
-
-
 def test_broken_action_contained_not_crashing(host):
     # REPLACE names a slot that was never registered: dispatching must not
     # propagate — the violation is recorded and the error reported.

@@ -6,11 +6,6 @@ from repro.core.overhead import CostModel, InferenceMeter, OverheadAccount
 
 
 class TestCostModel:
-    def test_check_cost_linear_in_ops(self):
-        model = CostModel(ns_per_op=2, ns_per_check=10)
-        assert model.check_cost(0) == 10
-        assert model.check_cost(5) == 20
-
     def test_action_cost_fixed(self):
         assert CostModel(ns_per_action=7).action_cost() == 7
 
@@ -27,22 +22,6 @@ class TestOverheadAccount:
         assert account.actions == 1
         assert account.simulated_ns == 15 + 15 + 100
 
-    def test_overhead_fraction(self):
-        account = OverheadAccount(CostModel(ns_per_op=0, ns_per_check=100))
-        account.charge_check(0)
-        assert account.overhead_fraction(1000) == 0.1
-        assert account.overhead_fraction(0) == 0.0
-
-    def test_merge(self):
-        a, b = OverheadAccount(), OverheadAccount()
-        a.charge_check(3)
-        b.charge_check(7)
-        b.charge_action()
-        a.merge(b)
-        assert a.checks == 2
-        assert a.ops == 10
-        assert a.actions == 1
-
     def test_snapshot(self):
         account = OverheadAccount()
         account.charge_check(1)
@@ -56,8 +35,7 @@ class TestInferenceMeter:
         meter = InferenceMeter(store, "policy")
         assert store.load("policy.net_benefit") == 0
         meter.record_inference(100)
-        meter.record_inference(100)
-        meter.record_gain(500)
+        meter.record_decision(100, 500)
         assert store.load("policy.inference_ns") == 200
         assert store.load("policy.gain_ns") == 500
         assert store.load("policy.net_benefit") == 300
@@ -66,7 +44,6 @@ class TestInferenceMeter:
     def test_negative_net_benefit_possible(self):
         store = FeatureStore()
         meter = InferenceMeter(store, "p")
-        meter.record_inference(1000)
-        meter.record_gain(10)
+        meter.record_decision(1000, 10)
         assert store.load("p.net_benefit") == -990
         assert meter.net_benefit == -990

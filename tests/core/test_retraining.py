@@ -23,13 +23,19 @@ def test_trains_and_reenables(host):
     host.retrain_queue.request("m", now=0, requested_by="guardrail")
     host.engine.run(until=2 * SECOND)
     # Picked up at the 1s poll, training until 4s: not done yet.
-    assert daemon.in_flight == {"m"}
+    assert host.retrain_queue.pending == []
     assert trained == []
     host.engine.run(until=5 * SECOND)
     assert trained[0]["requested_by"] == "guardrail"
     assert completed == ["new-model"]
     assert daemon.completed_count == 1
-    assert daemon.in_flight == frozenset()
+    # The finished run leaves flight: a later request trains again instead
+    # of collapsing into it (poll at 6s, training until 9s).
+    host.retrain_queue.request("m", now=host.engine.now, requested_by="again")
+    host.engine.run(until=10 * SECOND)
+    assert completed == ["new-model", "new-model"]
+    assert daemon.completed_count == 2
+    assert daemon.collapsed_count == 0
 
 
 def test_training_time_elapses_on_virtual_clock(host):

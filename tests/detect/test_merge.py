@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.detect.histogram import Histogram
 from repro.detect.quantiles import P2Quantile
 from repro.detect.streaming import RateCounter, SummaryDigest
-from repro.detect.windows import SlidingWindow
 
 values = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -376,11 +375,18 @@ def test_histogram_merge_laws(a, b, c):
 # -- SummaryDigest: float-tolerance ----------------------------------------
 
 
+def digest(samples):
+    summary = SummaryDigest()
+    for value in samples:
+        summary.update(value)
+    return summary
+
+
 @given(a=value_lists, b=value_lists)
 def test_summary_digest_merge_matches_concatenated_stream(a, b):
-    left = SummaryDigest.from_values(a)
-    right = SummaryDigest.from_values(b)
-    reference = SummaryDigest.from_values(a + b)
+    left = digest(a)
+    right = digest(b)
+    reference = digest(a + b)
 
     merged = left.merge(right)
     assert merged is left
@@ -400,16 +406,6 @@ def test_summary_digest_merge_matches_concatenated_stream(a, b):
 def test_summary_digest_merge_rejects_other_types():
     with pytest.raises(ValueError):
         SummaryDigest().merge(object())
-
-
-def test_sliding_window_summary_feeds_digest():
-    window = SlidingWindow(size=4)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-        window.update(value)
-    summary = window.summary()
-    assert summary.count == 4  # only the windowed tail
-    assert summary.min == 2.0 and summary.max == 5.0
-    assert math.isclose(summary.mean, 3.5)
 
 
 # -- P2Quantile: tolerance-bounded -----------------------------------------

@@ -1,11 +1,12 @@
-"""P² streaming quantiles against exact numpy quantiles."""
+"""P² streaming quantiles against exact numpy quantiles, and the exact
+percentile helper over a sorted sample."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.detect.quantiles import P2Quantile
+from repro.detect.quantiles import P2Quantile, _lerp, _percentile
 
 
 def test_bad_q_raises():
@@ -100,3 +101,26 @@ def test_pre_marker_estimates_track_exact_small_sample_quantiles():
             estimator.update(v)
         assert estimator.value == pytest.approx(
             float(np.quantile(values, 0.5)))
+
+
+def test_percentile_of_a_sorted_sample():
+    ordered = [10, 20, 30, 40, 50]
+    assert tuple(_percentile(ordered, q) for q in (25, 50, 75)) == (20, 30, 40)
+    assert _percentile([7], 99) == 7.0
+    assert _percentile([0.0, 10.0], 25) == 2.5
+
+
+def test_quartiles_are_ordered_for_denormal_samples():
+    # Regression: a*(1-frac) + b*frac is non-monotone at the edge of the
+    # float grid — two 5e-324 samples produced q25 > q50.
+    ordered = [5e-324, 5e-324]
+    q25, q50, q75 = (_percentile(ordered, q) for q in (25, 50, 75))
+    assert q25 <= q50 <= q75
+    assert q25 == q50 == q75 == 5e-324
+
+
+def test_percentile_interpolation_stays_inside_the_samples():
+    assert _lerp(1.0, 2.0, 0.5) == 1.5
+    assert _lerp(5e-324, 5e-324, 0.25) == 5e-324
+    assert _lerp(-2.0, -1.0, 0.0) == -2.0
+    assert _lerp(-2.0, -1.0, 1.0) == -1.0

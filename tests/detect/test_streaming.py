@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.detect.streaming import Ewma, MeanVariance, MovingAverage, RateCounter
+from repro.detect.streaming import Ewma, MovingAverage, RateCounter, SummaryDigest
 
 
 class TestMovingAverage:
@@ -78,29 +78,30 @@ class TestEwma:
         assert math.isnan(e.value)
 
 
-class TestMeanVariance:
+class TestSummaryDigest:
+    """Welford's online mean/variance, as the fleet digests use it."""
+
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         data = rng.normal(5.0, 2.0, 200)
-        mv = MeanVariance()
+        digest = SummaryDigest()
         for v in data:
-            mv.update(v)
-        assert mv.mean == pytest.approx(data.mean())
-        assert mv.variance == pytest.approx(data.var(ddof=1))
-        assert mv.stddev == pytest.approx(data.std(ddof=1))
+            digest.update(v)
+        assert digest.mean == pytest.approx(data.mean())
+        assert digest.variance == pytest.approx(data.var(ddof=1))
 
     def test_variance_needs_two_samples(self):
-        mv = MeanVariance()
-        mv.update(1.0)
-        assert math.isnan(mv.variance)
+        digest = SummaryDigest()
+        digest.update(1.0)
+        assert math.isnan(digest.variance)
 
     def test_empty_mean_is_nan(self):
-        assert math.isnan(MeanVariance().mean)
+        assert math.isnan(SummaryDigest().mean)
 
     def test_merge_matches_single_pass(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=50), rng.normal(3.0, 1.0, 70)
-        left, right, combined = MeanVariance(), MeanVariance(), MeanVariance()
+        left, right, combined = SummaryDigest(), SummaryDigest(), SummaryDigest()
         for v in a:
             left.update(v)
             combined.update(v)
@@ -113,11 +114,11 @@ class TestMeanVariance:
         assert left.variance == pytest.approx(combined.variance)
 
     def test_merge_with_empty_sides(self):
-        a = MeanVariance()
+        a = SummaryDigest()
         a.update(1.0)
-        a.merge(MeanVariance())
+        a.merge(SummaryDigest())
         assert a.count == 1
-        empty = MeanVariance()
+        empty = SummaryDigest()
         empty.merge(a)
         assert empty.mean == 1.0
 

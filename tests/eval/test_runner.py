@@ -1,9 +1,11 @@
 """Eval runner: selection, result merging, jobs-invariant documents."""
 
+import json
+
 import pytest
 
 from repro.eval.dataset import load_dataset
-from repro.eval.results import compare_to_baseline, dumps_document
+from repro.eval.results import compare_to_baseline
 from repro.eval.runner import _merge_outcome, run_eval, select_episodes
 
 # A small mixed subset (4 host + 1 quick fleet episode) keeps the
@@ -77,7 +79,8 @@ class TestRunEval:
 
     def test_jobs_one_and_four_are_byte_identical(self, documents):
         doc_j1, doc_j4 = documents
-        assert dumps_document(doc_j1) == dumps_document(doc_j4)
+        assert (json.dumps(doc_j1, indent=2, sort_keys=True)
+                == json.dumps(doc_j4, indent=2, sort_keys=True))
 
     def test_document_shape_and_correctness(self, documents):
         document, _ = documents

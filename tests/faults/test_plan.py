@@ -1,5 +1,7 @@
 """Fault plans: spec validation, the --fault grammar, JSON round-trips."""
 
+import json
+
 import pytest
 
 from repro.core.errors import FaultError
@@ -89,7 +91,7 @@ def test_plan_round_trips_through_json():
          "corrupt@false_submit_rate:start=6,p=0.5",
          "stall@storage.pick_device:latency_us=800,count=3"],
         seed=11)
-    rebuilt = FaultPlan.from_json(plan.to_json())
+    rebuilt = FaultPlan.from_json(json.dumps(plan.to_dict()))
     assert rebuilt.to_dict() == plan.to_dict()
     assert rebuilt.seed == 11
     assert [spec.index for spec in rebuilt] == [0, 1, 2]

@@ -24,7 +24,8 @@ def run_cache_attack(with_guardrail, seed=61, duration_s=14, attack_at_s=4):
     kernel = Kernel(seed=seed)
     cache = kernel.attach("cache", KvCache(kernel, capacity=32,
                                            window=2 * SECOND))
-    cache.add_shadow("random", random_evict(kernel.engine.rng.get("shadow")))
+    shadow = cache.add_shadow(
+        "random", random_evict(kernel.engine.rng.get("shadow")))
     attach_learned_cache_policy(kernel, cache)
     if with_guardrail:
         kernel.guardrails.load(decision_quality(
@@ -57,7 +58,11 @@ def run_cache_attack(with_guardrail, seed=61, duration_s=14, attack_at_s=4):
 
     loop()
     kernel.run(until=duration_s * SECOND)
-    return kernel, cache, benign
+    return kernel, cache, shadow, benign
+
+
+def hit_rate(cache):
+    return cache.hits / (cache.hits + cache.misses)
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +73,16 @@ def attack_results():
 
 
 def test_adversary_degrades_benign_workload(attack_results):
-    kernel, cache, benign = attack_results[False]
+    kernel, cache, shadow, benign = attack_results[False]
     # Unguarded: the learned evictor retains the dead attack keys; benign
     # hit rate collapses well below what random eviction would give.
     assert benign["hits"] / benign["accesses"] < 0.6
-    assert cache.hit_rate < cache.shadow("random").hit_rate
+    assert hit_rate(cache) < hit_rate(shadow)
 
 
 def test_guardrail_bounds_the_blast_radius(attack_results):
-    unguarded = attack_results[False][2]
-    kernel, cache, benign = attack_results[True]
+    unguarded = attack_results[False][3]
+    kernel, cache, shadow, benign = attack_results[True]
     monitor = kernel.guardrails.get("cache-decision-quality")
     assert monitor.violation_count >= 1
     # Fallback took over: benign workload recovers most of its hit rate.

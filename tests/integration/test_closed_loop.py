@@ -62,15 +62,16 @@ def test_sample_buffer_collects_under_any_policy():
     buffer = OnlineSampleBuffer(volume, capacity=100)
     PoissonWorkload(kernel, volume, [(1 * SECOND, 500)]).start()
     kernel.run(until=1 * SECOND)
-    assert len(buffer) == 100  # capacity-capped
+    assert len(buffer.dataset()[1]) == 100  # capacity-capped
     features, labels = buffer.dataset(last=50)
     assert features.shape == (50, 4)
     assert set(labels) <= {0, 1}
     buffer.detach()
-    count = len(buffer)
+    before = buffer.dataset()
     volume.submit()
     kernel.run(until=kernel.now + SECOND)
-    assert len(buffer) == count  # detached: no more samples
+    after = buffer.dataset()  # detached: no more samples
+    assert (after[0] == before[0]).all() and (after[1] == before[1]).all()
 
 
 def test_sample_buffer_empty_dataset_raises():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.kernel.cache.cache import ShadowCache
-from repro.kernel.cache.policies import lfu_evict, lru_evict, mru_evict, random_evict
+from repro.kernel.cache.policies import random_evict
 
 
 def replay(policy, keys, capacity=4):
@@ -19,43 +19,8 @@ def replay(policy, keys, capacity=4):
     return cache
 
 
-def test_lru_keeps_recent_working_set():
-    cache = replay(lru_evict(), ["a", "b", "c", "d", "e"])
-    assert "a" not in cache
-    assert all(k in cache for k in "bcde")
-
-
-def test_mru_evicts_most_recent():
-    cache = replay(mru_evict(), ["a", "b", "c", "d", "e"])
-    assert "d" not in cache
-    assert "a" in cache
-
-
-def test_lfu_keeps_frequent():
-    keys = ["hot"] * 5 + ["a", "b", "c", "d"]
-    cache = replay(lfu_evict(), keys)
-    assert "hot" in cache
-
-
 def test_random_evicts_resident_key():
     rng = np.random.default_rng(0)
     cache = replay(random_evict(rng), [str(i) for i in range(50)])
-    assert len(cache) == 4
-
-
-def test_mru_beats_lru_on_cyclic_scan():
-    # The classic result: LRU gets zero hits on a scan one larger than
-    # capacity, MRU retains most of it.
-    scan = [str(i) for i in range(5)] * 20
-    lru = replay(lru_evict(), scan, capacity=4)
-    mru = replay(mru_evict(), scan, capacity=4)
-    assert lru.hit_rate == 0.0
-    assert mru.hit_rate > 0.5
-
-
-def test_lru_beats_random_on_skewed_workload():
-    rng = np.random.default_rng(1)
-    keys = [str(int(rng.zipf(1.5)) % 50) for _ in range(3000)]
-    lru = replay(lru_evict(), keys, capacity=10)
-    rnd = replay(random_evict(np.random.default_rng(2)), keys, capacity=10)
-    assert lru.hit_rate > rnd.hit_rate
+    assert cache.evictions == 46
+    assert cache.misses - cache.evictions == 4  # resident keys

@@ -210,7 +210,7 @@ def test_flush_idempotent_and_rearm(kernel, monkeypatch):
 # -- reader bugfixes ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("reader", ["series", "counter", "names", "snapshot"])
+@pytest.mark.parametrize("reader", ["series", "counter", "snapshot"])
 def test_metric_readers_drain_pending_completions(reader):
     kernel, volume = build_volume()
     kernel.run(until=SECOND // 2)
@@ -220,9 +220,6 @@ def test_metric_readers_drain_pending_completions(reader):
         seen = len(metrics.series("storage.io_latency_us"))
     elif reader == "counter":
         seen = metrics.counter("storage.completed")
-    elif reader == "names":
-        metrics.names()
-        seen = metrics._counters["storage.completed"]
     else:
         seen = metrics.snapshot()["series"]["storage.io_latency_us"]["count"]
     assert len(volume.ingest) == 0

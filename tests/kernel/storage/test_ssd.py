@@ -21,11 +21,6 @@ def test_profile_validation():
         DeviceProfile("bad", dwell_jitter=1.5)
 
 
-def test_stationary_slow_fraction():
-    profile = DeviceProfile("p", fast_duration_ns=90, slow_duration_ns=10)
-    assert profile.stationary_slow_fraction() == pytest.approx(0.1)
-
-
 def test_pre_drift_mostly_fast_service(engine):
     device = make_device(engine, DeviceProfile.pre_drift())
     latencies = []

@@ -85,33 +85,6 @@ def test_schedule_profile_change_applies_at_time(kernel):
     assert len(kernel.metrics.series("storage.profile_change")) == 1
 
 
-def test_replay_workload_exact_times(kernel):
-    from repro.kernel.storage import ReplayWorkload
-
-    volume, _ = make(kernel)
-    submits = []
-    kernel.hooks.get("storage.submit_io").attach(
-        lambda n, t, p: submits.append(t))
-    workload = ReplayWorkload(kernel, volume,
-                              [300, 100, (200, True)]).start()
-    kernel.run(until=SECOND)
-    assert submits == [100, 200, 300]   # sorted, exact
-    assert workload.submitted == 3
-
-
-def test_replay_workload_write_flags(kernel):
-    from repro.kernel.storage import ReplayWorkload
-
-    volume, _ = make(kernel)
-    flags = []
-    original = volume.submit
-    volume.submit = lambda is_write=False, size=4096: (
-        flags.append(is_write), original(is_write, size))[1]
-    ReplayWorkload(kernel, volume, [(10, True), (20, False)]).start()
-    kernel.run(until=SECOND)
-    assert flags == [True, False]
-
-
 def test_workloads_deterministic_per_seed():
     from repro.kernel import Kernel
 

@@ -81,7 +81,6 @@ def test_false_submit_accounting(kernel):
     kernel.run(until=60_000_000)
     assert volume.false_submits == 10
     assert volume.model_submits == 10
-    assert volume.false_submit_fraction() == 1.0
     assert kernel.store.load("false_submit_rate") == 1.0
 
 

@@ -11,23 +11,15 @@ def test_kernel_is_a_monitor_host(kernel):
     assert kernel.guardrails.host is kernel
 
 
-def test_attach_and_lookup(kernel):
+def test_attach_returns_the_subsystem(kernel):
     subsystem = object()
     assert kernel.attach("x", subsystem) is subsystem
-    assert kernel.subsystem("x") is subsystem
-    assert "x" in kernel
 
 
 def test_duplicate_attach_rejected(kernel):
     kernel.attach("x", object())
     with pytest.raises(ValueError):
         kernel.attach("x", object())
-
-
-def test_unknown_subsystem_lists_attached(kernel):
-    kernel.attach("storage", object())
-    with pytest.raises(KeyError, match="storage"):
-        kernel.subsystem("net")
 
 
 def test_run_advances_clock(kernel):

@@ -1,4 +1,4 @@
-"""Synthetic dataset builders for tests and training smoke runs."""
+"""Synthetic classification and regression data for the ML tests."""
 
 import numpy as np
 

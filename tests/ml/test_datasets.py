@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.ml.datasets import make_classification, make_regression
+from tests.ml.datasets import make_classification, make_regression
 
 
 def test_classification_shapes_and_labels():

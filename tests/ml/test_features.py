@@ -1,4 +1,4 @@
-"""Feature normalization and P1 reference generation."""
+"""Feature normalization."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.ml.features import Normalizer
 def test_fit_transform_standardizes():
     rng = np.random.default_rng(0)
     x = rng.normal([5.0, -3.0], [2.0, 0.5], size=(500, 2))
-    z = Normalizer().fit_transform(x)
+    z = Normalizer().fit(x).transform(x)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(z.std(axis=0), 1.0, atol=1e-9)
 
@@ -22,7 +22,7 @@ def test_transform_uses_training_stats():
 
 def test_constant_feature_does_not_divide_by_zero():
     x = np.array([[1.0, 5.0], [1.0, 7.0]])
-    z = Normalizer().fit_transform(x)
+    z = Normalizer().fit(x).transform(x)
     assert np.isfinite(z).all()
 
 
@@ -35,23 +35,3 @@ def test_feature_count_mismatch_raises():
     normalizer = Normalizer().fit(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         normalizer.transform(np.zeros((4, 3)))
-
-
-def test_references_one_per_feature_with_names():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(100, 3))
-    refs = Normalizer().fit(x).references(x, names=["a", "b", "c"])
-    assert [r.name for r in refs] == ["a", "b", "c"]
-    assert all(r.contains(0.0) for r in refs)
-
-
-def test_references_default_names():
-    x = np.random.default_rng(2).normal(size=(50, 2))
-    refs = Normalizer().fit(x).references(x)
-    assert refs[0].name == "feature_0"
-
-
-def test_references_name_count_mismatch_raises():
-    x = np.zeros((10, 2))
-    with pytest.raises(ValueError):
-        Normalizer().fit(x).references(x, names=["only_one"])

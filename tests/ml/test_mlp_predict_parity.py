@@ -98,12 +98,6 @@ def test_predict_does_not_alias_or_mutate_its_input():
     assert (x == before).all()
 
 
-def test_mac_count_matches_the_layer_sizes_and_survives_clone():
-    model = Mlp([4, 16, 16, 1])
-    assert model.mac_count == 4 * 16 + 16 * 16 + 16 * 1
-    assert model.clone().mac_count == model.mac_count
-
-
 # -- Normalizer.transform takes the same shortcut ------------------------------
 
 

@@ -66,13 +66,3 @@ def test_learns_simple_bandit():
         reward += rng.normal(0, 0.1)
         learner.update("s", action, reward)
     assert learner.best_action("s") == 1
-
-
-def test_state_count_and_reset():
-    learner = QLearner(2)
-    learner.update("a", 0, 1.0)
-    learner.update("b", 0, 1.0)
-    assert learner.state_count == 2
-    assert learner.update_count == 2
-    learner.reset()
-    assert learner.state_count == 0

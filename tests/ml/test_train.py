@@ -1,61 +1,16 @@
-"""Training utilities and metrics."""
-
-import math
+"""The minibatch training loop."""
 
 import numpy as np
 import pytest
 
-from repro.ml.datasets import make_classification
 from repro.ml.mlp import Mlp
-from repro.ml.train import (
-    accuracy,
-    binary_cross_entropy,
-    confusion_counts,
-    mean_squared_error,
-    train_classifier,
-)
-
-
-def test_accuracy_basic():
-    assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-
-
-def test_accuracy_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        accuracy([1, 0], [1])
-
-
-def test_accuracy_empty_is_nan():
-    assert math.isnan(accuracy([], []))
-
-
-def test_confusion_counts():
-    counts = confusion_counts([1, 1, 0, 0], [1, 0, 1, 0])
-    assert counts == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
-
-
-def test_binary_cross_entropy_perfect_and_bad():
-    good = binary_cross_entropy([0.99, 0.01], [1, 0])
-    bad = binary_cross_entropy([0.01, 0.99], [1, 0])
-    assert good < 0.05
-    assert bad > 2.0
-
-
-def test_mean_squared_error():
-    assert mean_squared_error([1, 2], [1, 4]) == 2.0
+from repro.ml.train import train_classifier
+from tests.ml.datasets import make_classification
 
 
 def test_train_classifier_validates_lengths():
     with pytest.raises(ValueError):
         train_classifier(Mlp([2, 1]), np.zeros((3, 2)), np.zeros(2))
-
-
-def test_validation_accuracy_reported():
-    x, y = make_classification(samples=200, seed=0)
-    mlp = Mlp([x.shape[1], 8, 1], seed=0)
-    history = train_classifier(mlp, x, y, epochs=3, validation=(x, y))
-    assert all("val_accuracy" in epoch for epoch in history)
-    assert history[-1]["val_accuracy"] > 0.5
 
 
 def test_training_is_seed_deterministic():

@@ -110,7 +110,7 @@ class TestPolicyInstrumentation:
         store = FeatureStore()
         inst = PolicyInstrumentation(store, "pol")
         inst.observe_inference([1.0], inference_ns=100)
-        inst.record_gain(300)
+        inst.meter.record_decision(0, 300)
         assert store.load("pol.net_benefit") == 200
 
     def test_trackers_optional(self):

@@ -8,6 +8,10 @@ from repro.kernel.cache.cache import ShadowCache
 from repro.policies.cachepol import LearnedReusePolicy, attach_learned_cache_policy
 
 
+def hit_rate(cache):
+    return cache.hits / (cache.hits + cache.misses)
+
+
 def test_observe_learns_gaps():
     clock = {"t": 0}
     policy = LearnedReusePolicy(lambda: clock["t"])
@@ -38,8 +42,8 @@ def test_evicts_largest_predicted_distance():
     clock["t"] = 6
     policy.observe("newkey")
     cache.access("newkey")  # must evict: picks cold (never-reused)
-    assert "hot" in cache
-    assert "cold" not in cache
+    assert "hot" in cache._entries
+    assert "cold" not in cache._entries
 
 
 def test_attach_wires_online_training(kernel):
@@ -54,13 +58,14 @@ def test_attach_wires_online_training(kernel):
 
 def test_learned_beats_random_on_skewed_workload(kernel):
     cache = kernel.attach("cache", KvCache(kernel, capacity=32))
-    cache.add_shadow("random", random_evict(kernel.engine.rng.get("shadow")))
+    shadow = cache.add_shadow(
+        "random", random_evict(kernel.engine.rng.get("shadow")))
     attach_learned_cache_policy(kernel, cache)
     rng = np.random.default_rng(0)
     for _ in range(3000):
         cache.access(int(rng.zipf(1.4)) % 200)
         kernel.run(until=kernel.now + 100_000)
-    assert cache.hit_rate > cache.shadow("random").hit_rate
+    assert hit_rate(cache) > hit_rate(shadow)
 
 
 def test_learned_loses_on_dead_pair_workload(kernel):
@@ -68,7 +73,8 @@ def test_learned_loses_on_dead_pair_workload(kernel):
     # succession, then never again.  The learned policy memorizes a tiny
     # reuse gap and keeps the dead keys forever; random at least recycles.
     cache = kernel.attach("cache", KvCache(kernel, capacity=32))
-    cache.add_shadow("random", random_evict(kernel.engine.rng.get("shadow")))
+    shadow = cache.add_shadow(
+        "random", random_evict(kernel.engine.rng.get("shadow")))
     attach_learned_cache_policy(kernel, cache)
     rng = np.random.default_rng(1)
     hot = [f"hot{i}" for i in range(16)]
@@ -84,4 +90,4 @@ def test_learned_loses_on_dead_pair_workload(kernel):
             kernel.run(until=kernel.now + 1000)
             cache.access(pair)
         kernel.run(until=kernel.now + 100_000)
-    assert cache.hit_rate < cache.shadow("random").hit_rate
+    assert hit_rate(cache) < hit_rate(shadow)

@@ -76,10 +76,3 @@ def test_fixed_beats_learned_right_after_shift():
     fixed = ReadaheadSimulator(FixedReadahead(window=8), waste_us=50)
     fixed.replay([2] * 20)
     assert waste_cost > fixed.total_cost_us
-
-
-def test_cost_per_run():
-    sim = ReadaheadSimulator(FixedReadahead(window=10), decision_us=1)
-    assert sim.cost_per_run() == 0.0
-    sim.replay([10, 10])
-    assert sim.cost_per_run() == 1.0

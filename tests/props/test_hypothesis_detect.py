@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detect.histogram import Histogram
-from repro.detect.quantiles import P2Quantile
-from repro.detect.streaming import MeanVariance, MovingAverage, RateCounter
-from repro.detect.windows import SlidingWindow
+from repro.detect.quantiles import P2Quantile, _percentile
+from repro.detect.streaming import MovingAverage, RateCounter, SummaryDigest
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 
@@ -29,12 +28,12 @@ def test_moving_average_equals_tail_mean(values, window):
 @given(st.lists(finite_floats, min_size=2, max_size=200))
 @settings(max_examples=80, deadline=None)
 def test_welford_matches_numpy(values):
-    mv = MeanVariance()
+    digest = SummaryDigest()
     for v in values:
-        mv.update(v)
+        digest.update(v)
     arr = np.array(values)
-    assert math.isclose(mv.mean, arr.mean(), rel_tol=1e-9, abs_tol=1e-6)
-    assert math.isclose(mv.variance, arr.var(ddof=1), rel_tol=1e-6,
+    assert math.isclose(digest.mean, arr.mean(), rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(digest.variance, arr.var(ddof=1), rel_tol=1e-6,
                         abs_tol=1e-3)
 
 
@@ -76,10 +75,8 @@ def test_histogram_conserves_mass(values):
 @given(st.lists(finite_floats, min_size=1, max_size=100),
        st.integers(min_value=1, max_value=20))
 @settings(max_examples=80, deadline=None)
-def test_sliding_window_quartiles_ordered(values, size):
-    w = SlidingWindow(size)
-    for v in values:
-        w.update(v)
-    q25, q50, q75 = w.quartiles()
+def test_percentile_quartiles_ordered(values, size):
+    ordered = sorted(values[-size:])
+    q25, q50, q75 = (_percentile(ordered, q) for q in (25, 50, 75))
     assert q25 <= q50 <= q75
-    assert w.min() <= q25 and q75 <= w.max()
+    assert ordered[0] <= q25 and q75 <= ordered[-1]

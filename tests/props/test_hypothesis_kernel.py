@@ -64,10 +64,10 @@ def test_cache_occupancy_and_counts(keys, capacity):
     cache = KvCache(kernel, capacity=capacity)
     for key in keys:
         cache.access(key)
-    assert len(cache) <= capacity
+    assert len(cache._entries) <= capacity
     assert cache.hits + cache.misses == len(keys)
     assert cache.evictions == max(0, cache.misses - min(capacity, cache.misses))
-    assert 0.0 <= cache.hit_rate <= 1.0
+    assert 0.0 <= kernel.store.load("cache.hit_rate") <= 1.0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1,
@@ -81,4 +81,4 @@ def test_tiered_memory_fast_tier_bounded(pages, capacity):
         tiered.access(page)
     assert len(tiered._fast) <= capacity
     assert tiered.fast_hits <= tiered.accesses == len(pages)
-    assert 0.0 <= tiered.hit_rate <= 1.0
+    assert 0.0 <= kernel.store.load("mm.tier_hit_rate") <= 1.0

@@ -1,4 +1,4 @@
-"""Engine: event ordering, cancellation, stop, run-until semantics."""
+"""Engine: event ordering, cancellation, run-until semantics."""
 
 import pytest
 
@@ -107,16 +107,6 @@ def test_run_until_does_not_fire_later_events(engine):
     assert fired == ["late"]
 
 
-def test_stop_halts_the_loop(engine):
-    fired = []
-    engine.schedule(10, fired.append, 1)
-    engine.schedule(20, lambda: engine.stop())
-    engine.schedule(30, fired.append, 3)
-    engine.run()
-    assert fired == [1]
-    assert engine.pending_events() == 1
-
-
 def test_reentrant_run_raises(engine):
     def nested():
         with pytest.raises(SimulationError):
@@ -124,29 +114,6 @@ def test_reentrant_run_raises(engine):
 
     engine.schedule(1, nested)
     engine.run()
-
-
-def test_step_returns_false_when_empty(engine):
-    assert engine.step() is False
-
-
-def test_step_fires_one_event(engine):
-    fired = []
-    engine.schedule(1, fired.append, "a")
-    engine.schedule(2, fired.append, "b")
-    assert engine.step() is True
-    assert fired == ["a"]
-
-
-def test_peek_skips_cancelled(engine):
-    event = engine.schedule(5, lambda: None)
-    engine.schedule(9, lambda: None)
-    event.cancel()
-    assert engine.peek() == 9
-
-
-def test_peek_empty_returns_none(engine):
-    assert engine.peek() is None
 
 
 def test_pending_events_counts_only_live(engine):
@@ -186,16 +153,14 @@ def test_cancel_decrements_pending_immediately(engine):
     assert engine._pending == 2
 
 
-def test_cancel_then_peek_keeps_pending_consistent(engine):
+def test_cancel_then_run_keeps_pending_consistent(engine):
     fired = []
     a = engine.schedule(5, fired.append, "a")
     engine.schedule(7, fired.append, "b")
     engine.schedule(9, fired.append, "c")
     a.cancel()
-    assert engine.pending_events() == 2
-    # peek() pops the cancelled head; the count must not be decremented a
+    # The run pops the cancelled head; the count must not be decremented a
     # second time for an event cancel() already accounted for.
-    assert engine.peek() == 7
     assert engine.pending_events() == 2
     engine.run()
     assert fired == ["b", "c"]
@@ -270,26 +235,6 @@ def test_reschedule_rejects_pending_and_cancelled_events(engine):
     pending.cancel()
     with pytest.raises(SimulationError):
         engine.reschedule(pending, 10)
-
-
-def test_stop_inside_run_until_does_not_advance_past_pending_events(engine):
-    # Pre-fix: run(until=100) set now=100 although the event at 20 was still
-    # pending, so the next run() fired it with the clock moving backwards and
-    # scheduling from inside it failed with "before now".
-    times = []
-
-    def late():
-        times.append(engine.now)
-        engine.schedule_at(25, times.append, "child")
-
-    engine.schedule(10, engine.stop)
-    engine.schedule(20, late)
-    engine.run(until=100)
-    assert engine.now == 10
-    assert engine.pending_events() == 1
-    engine.run(until=100)
-    assert times == [20, "child"]
-    assert engine.now == 100
 
 
 def test_run_until_still_advances_when_the_queue_drains_or_runs_ahead(engine):

@@ -31,14 +31,12 @@ def test_counters(recorder):
     assert recorder.counter("missing") == 0
 
 
-def test_series_mean_and_last():
+def test_series_mean():
     s = TimeSeries("x")
     assert math.isnan(s.mean())
-    assert s.last() is None
     s.append(0, 1.0)
     s.append(1, 3.0)
     assert s.mean() == 2.0
-    assert s.last() == 3.0
 
 
 def test_series_window_half_open():
@@ -92,9 +90,3 @@ def test_snapshot_shape(recorder):
     assert snap["counters"] == {"c": 1}
     assert snap["series"]["m"]["count"] == 1
     assert snap["series"]["m"]["mean"] == 1.0
-
-
-def test_names_merges_series_and_counters(recorder):
-    recorder.record("s", 1)
-    recorder.increment("c")
-    assert recorder.names() == ["c", "s"]

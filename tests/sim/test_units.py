@@ -13,18 +13,8 @@ def test_roundtrip_us():
     assert units.ns_to_us(units.us(12.5)) == 12.5
 
 
-def test_roundtrip_ms():
-    assert units.ns_to_ms(units.ms(3.25)) == 3.25
-
-
-def test_roundtrip_seconds():
-    assert units.ns_to_s(units.seconds(2)) == 2.0
-
-
 def test_conversions_return_ints():
     assert isinstance(units.us(1.5), int)
-    assert isinstance(units.ms(0.5), int)
-    assert isinstance(units.seconds(0.001), int)
 
 
 def test_fractional_ns_rounds():

@@ -4,6 +4,7 @@
 from repro.bench.report import format_series, format_table
 from repro.bench.scenarios import (
     LISTING2_SPEC,
+    REPLICAS,
     bucket_series,
     build_storage_kernel,
 )
@@ -52,9 +53,10 @@ def test_bucket_series_means():
 
 
 def test_build_storage_kernel_shape():
-    kernel, devices, volume = build_storage_kernel(seed=3, replicas=2)
-    assert len(devices) == 2
-    assert kernel.subsystem("storage") is volume
+    kernel, devices, volume = build_storage_kernel(seed=3)
+    assert len(devices) == REPLICAS == 3
+    assert volume.devices == devices
+    assert volume.kernel is kernel
     assert "false_submit_rate" in kernel.store
 
 

@@ -7,8 +7,7 @@ from repro.trace.events import CATEGORIES, TraceEvent
 from repro.trace.export import (
     chrome_trace_dict,
     read_jsonl,
-    save_chrome_trace,
-    save_jsonl,
+    write_chrome_trace,
     write_jsonl,
 )
 
@@ -45,7 +44,8 @@ def test_jsonl_roundtrip():
 
 def test_jsonl_file_roundtrip(tmp_path):
     path = str(tmp_path / "trace.jsonl")
-    assert save_jsonl(_events(), path) == 4
+    with open(path, "w") as fp:
+        assert write_jsonl(_events(), fp) == 4
     back = read_jsonl(path)
     assert len(back) == 4
     assert back[0].ts == 1000
@@ -60,7 +60,8 @@ def test_non_serializable_args_degrade_to_repr():
 
 def test_chrome_trace_is_valid_json_with_expected_phases(tmp_path):
     path = str(tmp_path / "trace.json")
-    save_chrome_trace(_events(), path)
+    with open(path, "w") as fp:
+        write_chrome_trace(_events(), fp)
     with open(path) as fp:
         data = json.load(fp)  # must parse with plain json.load
     records = data["traceEvents"]

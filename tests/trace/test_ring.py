@@ -46,17 +46,3 @@ def test_iteration_matches_snapshot():
     for i in range(8):
         ring.append(i)
     assert list(ring) == ring.snapshot() == [3, 4, 5, 6, 7]
-
-
-def test_clear_resets_everything():
-    ring = RingBuffer(2)
-    ring.append("a")
-    ring.append("b")
-    ring.append("c")
-    ring.clear()
-    assert len(ring) == 0
-    assert not ring
-    assert ring.dropped == 0
-    assert ring.snapshot() == []
-    ring.append("d")
-    assert ring.snapshot() == ["d"]

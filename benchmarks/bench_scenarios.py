@@ -18,7 +18,7 @@ import time
 from repro.bench.report import format_table
 from repro.bench.results import INFO_KEY, scenario
 from repro.scenarios import run_scenario, select_scenarios
-from repro.scenarios.feedback import run_feedback_study, run_idle_check_study
+from repro.scenarios.feedback import run_feedback_study
 
 SEED = 17
 DURATION_S = 40.0
@@ -57,10 +57,10 @@ def run_feedback_lane(report=None):
     timer = run_feedback_study("timer", seed=SEED, duration_s=DURATION_S)
     dependency = run_feedback_study("dependency", seed=SEED,
                                     duration_s=DURATION_S)
-    idle_timer = run_idle_check_study("timer", seed=SEED,
-                                      duration_s=DURATION_S)
-    idle_dependency = run_idle_check_study("dependency", seed=SEED,
-                                           duration_s=DURATION_S)
+    idle_timer = run_feedback_study("timer", seed=SEED,
+                                    duration_s=DURATION_S, quiet=True)
+    idle_dependency = run_feedback_study("dependency", seed=SEED,
+                                         duration_s=DURATION_S, quiet=True)
     wall_s = time.perf_counter() - started
 
     metrics = {

@@ -1,70 +1,43 @@
 """§6 discussion: guardrail feedback loops, detected and dampened.
 
-Two well-meaning guardrails fight over the same switch:
+Two well-meaning guardrails on one host fight over the same switch:
 
-- ``latency-protector`` disables the learned policy when latency is high;
-- ``quality-restorer`` re-enables it when hit quality drops (because the
-  fallback is worse on the common case).
+- ``feedback-storage-false-submit`` disables the learned storage policy
+  when its false-submit rate leaves the envelope;
+- ``feedback-net-retry-loss`` re-enables it when link loss says the
+  fallback's retry traffic is hurting the network.
 
-Each fix triggers the other's violation: the system oscillates between
-violation states — exactly the failure mode the paper's discussion
-predicts.  The FeedbackDetector spots the ``ml_enabled`` flapping and
-dampens the loop by disabling the younger guardrail.
+Every false submit files retry debt onto the link, so each fix triggers
+the other guardrail's violation.  Under timer-driven checking the pair
+oscillates after the device drift — exactly the failure mode the
+paper's discussion predicts.  The FeedbackDetector spots the
+``ml_enabled`` flapping and dampens the loop by disabling the younger
+guardrail.  Under dependency-driven checking the storage guardrail
+catches the drift on the write that crosses its bound, and the loop
+never starts.
 
 Run:  python examples/feedback_loops.py
 """
 
 from repro.core.feedback import FeedbackDetector
-from repro.kernel import Kernel
+from repro.scenarios.feedback import build_feedback_kernel, run_feedback_study
 from repro.sim.units import SECOND
 
-LATENCY_PROTECTOR = """
-guardrail latency-protector {
-  trigger: { TIMER(start_time, 1e9) },
-  rule:    { LOAD(latency_ms) <= 5 || LOAD(ml_enabled) == false }
-  ,
-  action:  { SAVE(ml_enabled, false) }
-}
-"""
-
-QUALITY_RESTORER = """
-guardrail quality-restorer {
-  trigger: { TIMER(start_time, 1e9) },
-  rule:    { LOAD(quality) >= 0.8 || LOAD(ml_enabled) == true },
-  action:  { SAVE(ml_enabled, true) }
-}
-"""
+DURATION_S = 20.0
+DAMPEN_AT_S = 10.0
 
 
 def main():
-    kernel = Kernel(seed=3)
-    store = kernel.store
-    store.save("ml_enabled", True)
-
-    # A workload where the learned policy gives quality 0.9 but latency 8ms,
-    # while the fallback gives quality 0.6 at latency 2ms: neither guardrail
-    # can be satisfied together.
-    def publish(step=0):
-        if store.load("ml_enabled"):
-            store.save("latency_ms", 8.0)
-            store.save("quality", 0.9)
-        else:
-            store.save("latency_ms", 2.0)
-            store.save("quality", 0.6)
-        if step < 40:
-            kernel.engine.schedule(SECOND // 2, publish, step + 1)
-
-    publish()
-    protector = kernel.guardrails.load(LATENCY_PROTECTOR)
-    restorer = kernel.guardrails.load(QUALITY_RESTORER)
-
-    detector = FeedbackDetector(kernel, window=20 * SECOND)
-    kernel.run(until=12 * SECOND)
+    kernel, _monitors, _bridge, _auditor = build_feedback_kernel(
+        "timer", duration_s=DURATION_S)
+    detector = FeedbackDetector(kernel, window=int(DURATION_S * SECOND))
+    kernel.run(until=int(DAMPEN_AT_S * SECOND))
 
     saves = kernel.reporter.notes_for(kind="SAVE")
-    print("ml_enabled writes in 12s:", len(saves))
-    print("  sequence:", " -> ".join(n["detail"].split(" = ")[1] for n in saves[:10]),
-          "...")
+    print("timer checking: ml_enabled writes in {:g}s: {}".format(
+        DAMPEN_AT_S, len(saves)))
+    print("  sequence:", " -> ".join(n["detail"].split(" = ")[1]
+                                     for n in saves[:10]), "...")
 
     reports = detector.scan()
     for report in reports:
@@ -74,11 +47,18 @@ def main():
     victim = detector.dampen(kernel.guardrails, flapping[0])
     print("\ndampened by disabling:", victim)
 
-    before = len(kernel.reporter.notes_for(kind="SAVE"))
-    kernel.run(until=20 * SECOND)
+    before = len(saves)
+    kernel.run(until=int(DURATION_S * SECOND))
     after = len(kernel.reporter.notes_for(kind="SAVE"))
-    print("SAVE actions in the 8s after dampening:", after - before)
-    print("ml_enabled settled at:", store.load("ml_enabled"))
+    print("SAVE actions in the {:g}s after dampening: {}".format(
+        DURATION_S - DAMPEN_AT_S, after - before))
+    print("ml_enabled settled at:", kernel.store.load("ml_enabled"))
+
+    study = run_feedback_study("dependency", duration_s=DAMPEN_AT_S)
+    print("\ndependency checking: {} trip(s), first at {:.3f}s, "
+          "ml_enabled settled at: {}".format(
+              study["trips"], study["first_trip_s"],
+              study["ml_enabled_final"]))
 
 
 if __name__ == "__main__":

@@ -301,7 +301,11 @@ class FaultsDemoResult:
         return self.volume.completed
 
 
-def shortest_queue_policy(inference_ns=2_000):
+#: Simulated inference cost of the stand-in policy's pick.
+STANDIN_INFERENCE_NS = 2_000
+
+
+def shortest_queue_policy():
     """The demo's stand-in learned policy: pick the shallowest queue.
 
     Flagged ``used_model=True`` so fallback engagement is visible in the
@@ -312,7 +316,7 @@ def shortest_queue_policy(inference_ns=2_000):
         index = min(range(len(volume.devices)),
                     key=lambda i: volume.devices[i].queue_depth)
         return PickDecision(index, used_model=True, predicted_fast=True,
-                            inference_ns=inference_ns)
+                            inference_ns=STANDIN_INFERENCE_NS)
 
     return pick
 

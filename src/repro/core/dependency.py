@@ -63,27 +63,20 @@ class DependencyTrigger(Trigger):
         self._unsubscribe = None
         self._fire = None
         self._last_fired = None
-        self.change_count = 0
-        self.fire_count = 0
-        self.suppressed_count = 0
 
     def arm(self, host, fire):
         if self._unsubscribe is not None:
             raise RuntimeError("dependency trigger is already armed")
         self._fire = fire
-        self._host = host
         self._unsubscribe = host.store.subscribe(self._on_change)
 
     def _on_change(self, key, value, now):
         if key not in self.keys:
             return
-        self.change_count += 1
         if (self.min_spacing and self._last_fired is not None
                 and now - self._last_fired < self.min_spacing):
-            self.suppressed_count += 1
             return
         self._last_fired = now
-        self.fire_count += 1
         self._fire({"changed_key": key})
 
     def disarm(self):

@@ -37,11 +37,12 @@ class OscillationReport:
 class FeedbackDetector:
     """Scans reporter notes for oscillation signatures."""
 
-    def __init__(self, host, window, min_alternations=4):
+    #: Alternations within the window before a signature is reported.
+    MIN_ALTERNATIONS = 4
+
+    def __init__(self, host, window):
         self.host = host
         self.window = window
-        self.min_alternations = min_alternations
-        self._scanned = 0
 
     def scan(self):
         """Analyze all notes so far; returns a list of reports."""
@@ -52,7 +53,6 @@ class FeedbackDetector:
         reports = []
         reports.extend(self._scan_key_flapping(recent))
         reports.extend(self._scan_ping_pong(recent))
-        self._scanned = len(notes)
         return reports
 
     def _scan_key_flapping(self, notes):
@@ -70,7 +70,7 @@ class FeedbackDetector:
                 1 for (_, prev, _), (_, cur, _) in zip(events, events[1:])
                 if prev != cur
             )
-            if alternations >= self.min_alternations:
+            if alternations >= self.MIN_ALTERNATIONS:
                 guardrails = tuple(sorted({g for _, _, g in events}))
                 reports.append(OscillationReport(
                     "key-flapping", (key,) + guardrails, alternations, self.window
@@ -88,7 +88,7 @@ class FeedbackDetector:
                 transitions[tuple(sorted((a, b)))] += 1
         reports = []
         for pair, count in transitions.items():
-            if count >= self.min_alternations:
+            if count >= self.MIN_ALTERNATIONS:
                 reports.append(OscillationReport(
                     "action-ping-pong", pair, count, self.window
                 ))

@@ -19,7 +19,6 @@ from repro.scenarios.feedback import (
     RetryDebtBridge,
     build_feedback_kernel,
     run_feedback_study,
-    run_idle_check_study,
 )
 from repro.scenarios.registry import (
     GUARDRAIL_NAMES,
@@ -49,7 +48,6 @@ __all__ = [
     "get_scenario",
     "monitor_verdict",
     "run_feedback_study",
-    "run_idle_check_study",
     "run_scenario",
     "run_scenarios",
     "scenario_names",

@@ -17,7 +17,7 @@ A's detection delay.  After the Figure-2 device drift breaks the model:
 - under **timer-driven** checking A detects up to a full period late, the
   accumulated debt overdrives the link past capacity, B sees the loss and
   re-enables the broken model, and the pair oscillates for the rest of
-  the run (≥3 alternating trips);
+  the run (:class:`FeedbackDetector` reports ``ml_enabled`` flapping);
 - under **dependency-driven** checking (:class:`DependencyTrigger` armed
   on the rules' exact read sets) A fires within milliseconds of the rate
   crossing its bound, the debt stays under the drain headroom, B never
@@ -32,6 +32,7 @@ watched-key versions did not change since the previous check completed);
 """
 
 from repro.core.dependency import convert_to_dependency_triggered, rule_load_keys
+from repro.core.feedback import FeedbackDetector
 from repro.sim.units import SECOND
 
 GUARDRAIL_A = """
@@ -64,7 +65,7 @@ A_NAME = "feedback-storage-false-submit"
 B_NAME = "feedback-net-retry-loss"
 
 
-def guarded_standin_policy(kernel, inference_ns=2_000):
+def guarded_standin_policy(kernel):
     """The stand-in learned policy, gated on the ``ml_enabled`` flag.
 
     Enabled: shortest-queue with ``predicted_fast=True`` on every submit
@@ -72,19 +73,16 @@ def guarded_standin_policy(kernel, inference_ns=2_000):
     plain round-robin, ``used_model=False`` — no false-submit accounting,
     which is what lets ``false_submit_rate`` go quiet after A's remedy.
     """
-    from repro.kernel.storage import PickDecision
+    from repro.bench.scenarios import shortest_queue_policy
+    from repro.kernel.storage.volume import round_robin_policy
 
-    state = {"rr": 0}
+    model = shortest_queue_policy()
+    fallback = round_robin_policy()
 
     def pick(volume):
         if bool(kernel.store.load("ml_enabled", default=True)):
-            index = min(range(len(volume.devices)),
-                        key=lambda i: volume.devices[i].queue_depth)
-            return PickDecision(index, used_model=True, predicted_fast=True,
-                                inference_ns=inference_ns)
-        index = state["rr"] % len(volume.devices)
-        state["rr"] += 1
-        return PickDecision(index)
+            return model(volume)
+        return fallback(volume)
 
     return pick
 
@@ -92,36 +90,35 @@ def guarded_standin_policy(kernel, inference_ns=2_000):
 class RetryDebtBridge:
     """The physical coupling between the two guardrails' metrics.
 
-    Every false submit files ``per_submit_mbit`` of retry traffic into a
-    backlog; the link controller offers ``base_mbps`` plus enough extra to
-    drain the backlog over ``drain_horizon_s``.  Headroom above base is
-    finite, so a backlog larger than
+    Every false submit files :attr:`PER_SUBMIT_MBIT` of retry traffic
+    into a backlog; the link controller offers :attr:`BASE_MBPS` plus
+    enough extra to drain the backlog over :attr:`DRAIN_HORIZON_S`.
+    Headroom above base is finite, so a backlog larger than
     ``(capacity - base) * drain_horizon`` overdrives the link and shows
     up as loss — detection delay converts directly into spike size.
     """
 
-    def __init__(self, kernel, link, base_mbps=60.0, per_submit_mbit=0.5,
-                 drain_horizon_s=2.0):
-        self.kernel = kernel
+    BASE_MBPS = 60.0
+    PER_SUBMIT_MBIT = 0.5
+    DRAIN_HORIZON_S = 2.0
+
+    def __init__(self, kernel, link):
         self.link = link
-        self.base_mbps = float(base_mbps)
-        self.per_submit_mbit = float(per_submit_mbit)
-        self.drain_horizon_s = float(drain_horizon_s)
         self.backlog_mbit = 0.0
         self.filed_mbit = 0.0
         kernel.store.subscribe(self._on_save)
 
     def _on_save(self, key, value, now):
         if key == "false_submit" and value:
-            self.backlog_mbit += self.per_submit_mbit
-            self.filed_mbit += self.per_submit_mbit
+            self.backlog_mbit += self.PER_SUBMIT_MBIT
+            self.filed_mbit += self.PER_SUBMIT_MBIT
 
     def controller(self, observation):
         """CC slot implementation: base rate plus backlog drain."""
-        extra = self.backlog_mbit / self.drain_horizon_s
+        extra = self.backlog_mbit / self.DRAIN_HORIZON_S
         epoch_s = self.link.rtt / SECOND
         self.backlog_mbit = max(0.0, self.backlog_mbit - extra * epoch_s)
-        return self.base_mbps + extra
+        return self.BASE_MBPS + extra
 
 
 class IdleCheckAuditor:
@@ -159,44 +156,47 @@ class IdleCheckAuditor:
         return sum(entry[field] for entry in self.stats.values())
 
 
-def build_feedback_kernel(mode, seed=17, duration_s=40.0, drift_at_s=3.0,
-                          rate_ios=800, capacity_mbps=100.0, ml_start=True,
-                          a_spacing_ns=int(0.1 * SECOND),
-                          b_spacing_ns=1 * SECOND):
-    """Compose the coupled rig; returns (kernel, monitors, bridge, auditor)."""
+#: The rig's fixed physics: the Poisson read rate, when the Figure-2
+#: device drift breaks the model, and each guardrail's ``min_spacing``
+#: once it is dependency-triggered.
+RATE_IOS = 800
+DRIFT_AT_S = 3.0
+A_SPACING_NS = int(0.1 * SECOND)
+B_SPACING_NS = 1 * SECOND
+
+
+def build_feedback_kernel(mode, seed=17, duration_s=40.0, quiet=False):
+    """Compose the coupled rig; returns (kernel, monitors, bridge, auditor).
+
+    ``quiet`` is §6's idle host: the model starts disabled and the devices
+    never drift, so ``false_submit_rate`` is never written.
+    """
     if mode not in ("timer", "dependency"):
         raise ValueError("mode must be 'timer' or 'dependency', got {!r}"
                          .format(mode))
+    from repro.bench.scenarios import attach_replicated_volume
     from repro.kernel import Kernel
     from repro.kernel.net import BottleneckLink
     from repro.kernel.storage import (
         DeviceProfile,
         PoissonWorkload,
-        ReplicatedVolume,
-        SsdDevice,
         schedule_profile_change,
     )
 
     duration_ns = int(duration_s * SECOND)
     kernel = Kernel(seed=seed)
-    devices = [
-        SsdDevice(kernel.engine, kernel.engine.rng.get("ssd{}".format(i)),
-                  "ssd{}".format(i), DeviceProfile.pre_drift())
-        for i in range(3)
-    ]
-    volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
+    devices, volume = attach_replicated_volume(kernel)
     # Both rules LOAD(ml_enabled); seed it so the guard clauses evaluate
     # (a missing key reads as missing data -> inconclusive checks).
-    kernel.store.save("ml_enabled", bool(ml_start))
+    kernel.store.save("ml_enabled", not quiet)
     volume.install_policy("storage.guarded_standin",
                           guarded_standin_policy(kernel))
-    if drift_at_s is not None:
+    if not quiet:
         schedule_profile_change(kernel, devices, DeviceProfile.post_drift(),
-                                int(drift_at_s * SECOND))
-    PoissonWorkload(kernel, volume, [(duration_ns, rate_ios)]).start()
+                                int(DRIFT_AT_S * SECOND))
+    PoissonWorkload(kernel, volume, [(duration_ns, RATE_IOS)]).start()
 
-    link = kernel.attach("net", BottleneckLink(kernel,
-                                               capacity_mbps=capacity_mbps))
+    link = kernel.attach("net", BottleneckLink(kernel))
     kernel.store.derive_moving_average("net.loss", window=8)
     bridge = RetryDebtBridge(kernel, link)
     kernel.functions.register_implementation("net.retry_drain",
@@ -215,9 +215,9 @@ def build_feedback_kernel(mode, seed=17, duration_s=40.0, drift_at_s=3.0,
         # symmetric across modes.
         def convert():
             convert_to_dependency_triggered(monitor_a,
-                                            min_spacing=a_spacing_ns)
+                                            min_spacing=A_SPACING_NS)
             convert_to_dependency_triggered(monitor_b,
-                                            min_spacing=b_spacing_ns)
+                                            min_spacing=B_SPACING_NS)
 
         kernel.engine.schedule(1 * SECOND, convert)
     auditor = IdleCheckAuditor(kernel)
@@ -226,33 +226,35 @@ def build_feedback_kernel(mode, seed=17, duration_s=40.0, drift_at_s=3.0,
     return kernel, (monitor_a, monitor_b), bridge, auditor
 
 
-def run_feedback_study(mode, seed=17, duration_s=40.0, **kwargs):
+def run_feedback_study(mode, seed=17, duration_s=40.0, quiet=False):
     """Run one checking mode to completion; returns the §6 measurements.
 
     ``trip_sequence`` is the time-ordered list of guardrail names that
-    dispatched their SAVE remedy; ``alternations`` counts adjacent pairs
-    where control bounced between the two guardrails — the §6 oscillation
-    signature.  ``converged`` means the run's damping held: at most one
-    trip, or nothing tripped in the final quarter of the run.
+    dispatched their SAVE remedy.  ``oscillating`` means
+    :class:`FeedbackDetector` reports ``ml_enabled`` flapping over the
+    whole run — the §6 oscillation signature — and ``alternations`` is
+    that report's count (0 without one).  ``converged`` means the run's
+    damping held: at most one trip, or nothing tripped in the final
+    quarter of the run.  ``quiet`` runs the idle host of
+    :func:`build_feedback_kernel`, where only the check counts move.
     """
     kernel, monitors, bridge, auditor = build_feedback_kernel(
-        mode, seed=seed, duration_s=duration_s, **kwargs)
+        mode, seed=seed, duration_s=duration_s, quiet=quiet)
     duration_ns = int(duration_s * SECOND)
     kernel.run(until=duration_ns)
 
     saves = kernel.reporter.notes_for(kind="SAVE")
     trip_sequence = [note["guardrail"] for note in saves]
     trip_times = [note["time"] for note in saves]
-    alternations = sum(
-        1 for previous, current in zip(trip_sequence, trip_sequence[1:])
-        if previous != current
-    )
+    flapping = [report for report
+                in FeedbackDetector(kernel, window=duration_ns).scan()
+                if report.kind == "key-flapping"]
     tail_start = duration_ns - duration_ns // 4
     tail_trips = sum(1 for time in trip_times if time >= tail_start)
     converged = len(trip_sequence) <= 1 or tail_trips == 0
 
     monitor_a, monitor_b = monitors
-    result = {
+    return {
         "mode": mode,
         "seed": seed,
         "duration_s": duration_s,
@@ -261,7 +263,8 @@ def run_feedback_study(mode, seed=17, duration_s=40.0, **kwargs):
         "first_trip_s": (trip_times[0] / SECOND) if trip_times else None,
         "trips_a": trip_sequence.count(A_NAME),
         "trips_b": trip_sequence.count(B_NAME),
-        "alternations": alternations,
+        "oscillating": bool(flapping),
+        "alternations": flapping[0].count if flapping else 0,
         "tail_trips": tail_trips,
         "converged": converged,
         "checks_total": auditor.total("checks"),
@@ -279,34 +282,6 @@ def run_feedback_study(mode, seed=17, duration_s=40.0, **kwargs):
         "ml_enabled_final": bool(kernel.store.load("ml_enabled",
                                                    default=True)),
     }
-    return result
-
-
-def run_idle_check_study(mode, seed=17, duration_s=40.0, rate_ios=800):
-    """§6's perf claim on a quiet host: checks on a metric that never moves.
-
-    Same rig, model disabled from the start, no drift: the storage
-    guardrail's ``false_submit_rate`` is never written, so every periodic
-    check of it is wasted work.  Timer mode performs one wasted check per
-    period for the whole run; dependency mode performs none (nothing ever
-    fires the trigger).  Returns per-mode check/idle counts.
-    """
-    kernel, monitors, _bridge, auditor = build_feedback_kernel(
-        mode, seed=seed, duration_s=duration_s, rate_ios=rate_ios,
-        drift_at_s=None, ml_start=False)
-    kernel.run(until=int(duration_s * SECOND))
-    monitor_a, monitor_b = monitors
-    return {
-        "mode": mode,
-        "checks_total": auditor.total("checks"),
-        "idle_checks": auditor.total("idle"),
-        "checks_a": auditor.stats[monitor_a.name]["checks"],
-        "idle_a": auditor.stats[monitor_a.name]["idle"],
-        "checks_b": auditor.stats[monitor_b.name]["checks"],
-        "idle_b": auditor.stats[monitor_b.name]["idle"],
-        "trips": (monitor_a.action_dispatch_count
-                  + monitor_b.action_dispatch_count),
-    }
 
 
 def run_feedback_scenario(spec):
@@ -314,8 +289,7 @@ def run_feedback_scenario(spec):
     mode = spec.workloads[0]
     study = run_feedback_study(mode, seed=spec.seed,
                                duration_s=spec.duration_s)
-    behavior = "oscillates" if (study["alternations"] >= 3
-                                and not study["converged"]) else "converges"
+    behavior = "oscillates" if study["oscillating"] else "converges"
     verdicts = {"behavior": behavior}
     overall = "trip" if behavior == "oscillates" else "allow"
     return {

@@ -47,7 +47,8 @@ def test_dependency_trigger_fires_on_watched_key(host):
     host.store.save("a", 1)
     host.store.save("unrelated", 2)
     assert fired == [{"changed_key": "a"}]
-    assert trigger.change_count == 1
+    host.store.save("a", 2)
+    assert fired == [{"changed_key": "a"}] * 2
 
 
 def test_min_spacing_suppresses_bursts(host):
@@ -56,8 +57,10 @@ def test_min_spacing_suppresses_bursts(host):
     trigger.arm(host, fired.append)
     for _ in range(5):
         host.store.save("a", 1)   # all at t=0
-    assert len(fired) == 1
-    assert trigger.suppressed_count == 4
+    assert len(fired) == 1        # the other four were suppressed
+    host.engine.run(until=100)
+    host.store.save("a", 1)       # spacing elapsed: fires again
+    assert len(fired) == 2
 
 
 def test_disarm_unsubscribes(host):

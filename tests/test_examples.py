@@ -36,6 +36,7 @@ def test_feedback_loops(capsys):
     out = capsys.readouterr().out
     assert "key-flapping" in out
     assert "dampened by disabling" in out
+    assert "dependency checking: 1 trip(s)" in out
 
 
 def test_synthesized_guardrails(capsys):

@@ -132,9 +132,8 @@ def run_p2_robustness(report=None):
     """P2 — learned CC output swings under noise; AIMD does not."""
     kernel = Kernel(seed=22)
     link = kernel.attach("net", BottleneckLink(
-        kernel, capacity_mbps=100.0, noise_std=0.05,
-        rtt=20 * MILLISECOND))
-    install_learned_cc(kernel, link, train_capacity=100.0)
+        kernel, capacity_mbps=100.0, noise_std=0.05))
+    install_learned_cc(kernel, link)
     monitor = kernel.guardrails.load(
         robustness("learned_cc", sensitivity_threshold=25.0),
         cooldown=5 * SECOND)
@@ -293,7 +292,7 @@ def run_p5_decision_overhead(report=None):
     kernel = Kernel(seed=25)
     from repro.core.overhead import InferenceMeter
 
-    meter = InferenceMeter(kernel.store, "readahead", window=64)
+    meter = InferenceMeter(kernel.store, "readahead")
     learned = ReadaheadSimulator(LearnedReadahead(), waste_us=20,
                                  decision_us=2.0)
     fixed = ReadaheadSimulator(FixedReadahead(window=8), waste_us=20)
@@ -364,7 +363,7 @@ def run_p6_fairness_liveness(report=None):
         monitor = None
         if guarded:
             monitor = kernel.guardrails.load(
-                fairness_liveness(max_wait_ms=100.0))
+                fairness_liveness())
         kernel.run(until=5 * SECOND)
         results[guarded] = (kernel, sched, monitor)
 

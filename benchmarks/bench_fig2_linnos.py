@@ -51,7 +51,7 @@ def run_figure2(model=None, report=None):
     if report is not None:
         lines = []
         for mode, result in results.items():
-            times, averages = result.moving_average(window=200)
+            times, averages = result.moving_average()
             sampled = list(zip(
                 (round(t / SECOND, 1) for t in times[::400]), averages[::400]
             ))

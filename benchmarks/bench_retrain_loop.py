@@ -11,12 +11,12 @@ sticks and beats the fallback.
 from repro.bench.report import format_series, format_table
 from repro.bench.results import scenario
 from repro.bench.scenarios import (
+    CLOSED_LOOP_DRIFT_AT_S,
     run_closed_loop_scenario,
     train_default_linnos_model,
 )
 from repro.sim.units import SECOND
 
-DRIFT_AT_S = 6
 DURATION_S = 30
 
 
@@ -24,9 +24,7 @@ DURATION_S = 30
 def run_retrain_loop(model=None, report=None):
     if model is None:
         model = train_default_linnos_model(seed=1, train_seconds=15)
-    result, daemon = run_closed_loop_scenario(model, seed=2,
-                                              drift_at_s=DRIFT_AT_S,
-                                              duration_s=DURATION_S)
+    result, daemon = run_closed_loop_scenario(model, duration_s=DURATION_S)
     late_disables = len([
         n for n in result.kernel.reporter.notes_for(kind="SAVE")
         if n["time"] > (DURATION_S - 5) * SECOND])
@@ -52,7 +50,7 @@ def run_retrain_loop(model=None, report=None):
         lines.append(format_table(
             ["aspect", "value"],
             [
-                ["drift injected at", "t={}s".format(DRIFT_AT_S)],
+                ["drift injected at", "t={}s".format(CLOSED_LOOP_DRIFT_AT_S)],
                 ["retraining runs completed", metrics["retrains_completed"]],
                 ["ml enabled at end", metrics["ml_enabled_at_end"]],
                 ["fallback-phase latency (8-14s)",

@@ -19,19 +19,29 @@ standard library is used: ``coverage`` is not a dependency, and
 
 Lines are counted once: a never-entered function nested in another
 never-entered function adds to the function count, not to the lines.
+
+The same pass takes a census of defaulted parameters: on each call into
+``src/repro`` it records which defaulted parameters received a value
+other than their default (a value of another type, or one that does not
+compare equal; NaN equals NaN here).  A parameter no call ever moves is
+*unturned*: one value in use, so a named constant would do.
+
 The run fails (exit 1) when the never-entered lines exceed
-:data:`MAX_UNREACHED_LINES`, and exits 2 when an entry point itself does
+:data:`MAX_UNREACHED_LINES` or the unturned parameters exceed
+:data:`MAX_UNTURNED_PARAMS`, and exits 2 when an entry point itself does
 not behave (unexpected exit code or exception), since the sweep is then
 not measuring the product.
 
 Usage::
 
-    PYTHONPATH=src python -m benchmarks.reachability          # ~3 min, 2 cores
+    PYTHONPATH=src python -m benchmarks.reachability          # ~4 min, 2 cores
 """
 
 import argparse
 import ast
 import contextlib
+import gc
+import inspect
 import io
 import os
 import pathlib
@@ -40,6 +50,7 @@ import shutil
 import sys
 import tempfile
 import threading
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -48,19 +59,25 @@ SRC = ROOT / "src" / "repro"
 #: when code goes; a change that raises it adds code no entry point runs.
 MAX_UNREACHED_LINES = 569
 
+#: Defaulted ``src/repro`` parameters no entry point ever moves off their
+#: default.  Lower it when a knob becomes a constant; a change that raises
+#: it adds a knob no product run turns.
+MAX_UNTURNED_PARAMS = 158
+
 
 # -- what exists --------------------------------------------------------------
 
 
 class Function:
-    __slots__ = ("path", "line", "qualname", "lines", "parent")
+    __slots__ = ("path", "line", "qualname", "lines", "parent", "defaulted")
 
-    def __init__(self, path, line, qualname, lines, parent):
+    def __init__(self, path, line, qualname, lines, parent, defaulted):
         self.path = path
         self.line = line
         self.qualname = qualname
         self.lines = lines
         self.parent = parent
+        self.defaulted = defaulted
 
 
 def named_functions(src=SRC):
@@ -78,8 +95,17 @@ def named_functions(src=SRC):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = min([child.lineno] + [decorator.lineno for decorator
                                                   in child.decorator_list])
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = tuple(
+                        [a.arg for a in positional[len(positional)
+                                                   - len(args.defaults):]]
+                        + [a.arg for a, default in zip(args.kwonlyargs,
+                                                       args.kw_defaults)
+                           if default is not None])
                     function = Function(path, first, prefix + child.name,
-                                        child.end_lineno - first + 1, parent)
+                                        child.end_lineno - first + 1, parent,
+                                        defaulted)
                     functions[(str(path), first)] = function
                     visit(child, prefix + child.name + ".<locals>.", function)
                 elif isinstance(child, ast.ClassDef):
@@ -94,29 +120,95 @@ def named_functions(src=SRC):
 # -- what runs ----------------------------------------------------------------
 
 
-class Profiler:
-    """Code objects entered in this process and in its forked children."""
+_GENERATOR = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
+              | inspect.CO_ASYNC_GENERATOR)
 
-    def __init__(self, dump_dir):
+
+def is_default(value, defaults):
+    """Whether ``value`` is one of ``defaults``: the same object, or the
+    same type and equal (NaN matching NaN).  An ``==`` that raises or
+    answers with something other than a truth value (a numpy array) is
+    not a match."""
+    for default in defaults:
+        if value is default:
+            return True
+        if type(value) is not type(default):
+            continue
+        try:
+            if bool(value == default):
+                return True
+            if value != value and default != default:
+                return True
+        except (TypeError, ValueError):
+            pass
+    return False
+
+
+class Profiler:
+    """Code objects entered in this process and in its forked children,
+    and the defaulted parameters those calls moved off their default."""
+
+    def __init__(self, dump_dir, src=SRC):
         self.dump_dir = dump_dir
-        self.entered = set()
+        self.src = str(src) + os.sep
+        # code -> {parameter: its defaults} still unturned; every code
+        # entered is a key.
+        self.pending = {}
+        self.turned = set()
         self._exit = os._exit
 
+    def _defaulted(self, code):
+        """``{parameter: defaults}`` for a ``src`` code object; a code
+        shared by several live functions (a nested ``def``) may carry a
+        default per function."""
+        if not os.path.abspath(code.co_filename).startswith(self.src):
+            return {}
+        positional = code.co_varnames[:code.co_argcount]
+        params = {}
+        for function in gc.get_referrers(code):
+            if not (isinstance(function, types.FunctionType)
+                    and function.__code__ is code):
+                continue
+            defaults = function.__defaults__ or ()
+            pairs = list(zip(positional[len(positional) - len(defaults):],
+                             defaults))
+            pairs += (function.__kwdefaults__ or {}).items()
+            for name, default in pairs:
+                params.setdefault(name, []).append(default)
+        return params
+
     def _profile(self, frame, event, arg):
-        if event == "call":
-            self.entered.add(frame.f_code)
+        if event != "call":
+            return
+        code = frame.f_code
+        pending = self.pending.get(code)
+        if pending is None:
+            pending = self.pending[code] = self._defaulted(code)
+        # A generator's later resumes show its locals, not its arguments.
+        if pending and not (code.co_flags & _GENERATOR
+                            and frame.f_lineno != code.co_firstlineno):
+            values = frame.f_locals
+            for name in [name for name, defaults in pending.items()
+                         if not is_default(values[name], defaults)]:
+                del pending[name]
+                self.turned.add((code.co_filename, code.co_firstlineno, name))
 
     def _child_exit(self, code):
-        # A forked worker leaves through os._exit: save its set first.  The
+        # A forked worker leaves through os._exit: save its sets first.  The
         # worker must exit whatever happens here, or it would go on to run
         # the parent's remaining entries.
         sys.setprofile(None)
         try:
-            path = os.path.join(self.dump_dir, "entered-{}".format(os.getpid()))
-            with open(path, "w") as out:
+            pid = os.getpid()
+            with open(os.path.join(self.dump_dir,
+                                   "entered-{}".format(pid)), "w") as out:
                 out.writelines("{}\t{}\n".format(co.co_filename,
                                                  co.co_firstlineno)
-                               for co in list(self.entered))
+                               for co in list(self.pending))
+            with open(os.path.join(self.dump_dir,
+                                   "turned-{}".format(pid)), "w") as out:
+                out.writelines("{}\t{}\t{}\n".format(*row)
+                               for row in list(self.turned))
         finally:
             self._exit(code)
 
@@ -131,17 +223,28 @@ class Profiler:
         threading.setprofile(None)
         os._exit = self._exit
 
+    def _rows(self, prefix):
+        for name in os.listdir(self.dump_dir):
+            if name.startswith(prefix):
+                with open(os.path.join(self.dump_dir, name)) as handle:
+                    for row in handle:
+                        yield row.rstrip("\n").split("\t")
+
     def keys(self):
         """(absolute file, first line) of everything entered, children
         included."""
-        rows = {(co.co_filename, co.co_firstlineno) for co in self.entered}
-        for name in os.listdir(self.dump_dir):
-            if name.startswith("entered-"):
-                with open(os.path.join(self.dump_dir, name)) as handle:
-                    for row in handle:
-                        path, line = row.rstrip("\n").split("\t")
-                        rows.add((path, int(line)))
+        rows = {(co.co_filename, co.co_firstlineno) for co in self.pending}
+        rows.update((path, int(line)) for path, line in self._rows("entered-"))
         return {(os.path.abspath(path), line) for path, line in rows}
+
+    def turned_params(self):
+        """(absolute file, first line, parameter) of every defaulted
+        parameter some call moved, children included."""
+        rows = set(self.turned)
+        rows.update((path, int(line), name)
+                    for path, line, name in self._rows("turned-"))
+        return {(os.path.abspath(path), line, name)
+                for path, line, name in rows}
 
 
 # -- the entry set ------------------------------------------------------------
@@ -334,10 +437,25 @@ def unreached(functions, entered):
     return sorted(missed, key=lambda f: (str(f.path), f.line)), lines
 
 
+def unturned(functions, turned):
+    """``[(function, [parameter...])]`` for the defaulted parameters no
+    call moved, and their count."""
+    rows = []
+    for key, function in sorted(functions.items(),
+                                key=lambda item: (str(item[1].path),
+                                                  item[1].line)):
+        names = [name for name in function.defaulted
+                 if key + (name,) not in turned]
+        if names:
+            rows.append((function, names))
+    return rows, sum(len(names) for _, names in rows)
+
+
 def main(argv=None):
     argparse.ArgumentParser(
         prog="python -m benchmarks.reachability",
-        description="List src/repro functions no entry point enters.",
+        description="List src/repro functions no entry point enters and "
+                    "defaulted parameters no entry point turns.",
     ).parse_args(argv)
 
     os.chdir(ROOT)
@@ -351,6 +469,7 @@ def main(argv=None):
         with Profiler(dump_dir) as profiler:
             failures = run_entries(tmp)
         entered = profiler.keys()
+        turned = profiler.turned_params()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -362,15 +481,30 @@ def main(argv=None):
     print("{} of {} named functions in src/repro never entered, {} lines "
           "(limit {})".format(len(missed), len(functions), lines,
                               MAX_UNREACHED_LINES))
+    knobs, count = unturned(functions, turned)
+    for function, names in knobs:
+        print("{}:{}  {}({})".format(
+            function.path.relative_to(ROOT), function.line, function.qualname,
+            ", ".join(names)))
+    print("{} of {} defaulted parameters never leave their default "
+          "(limit {})".format(count, sum(len(f.defaulted)
+                                         for f in functions.values()),
+                              MAX_UNTURNED_PARAMS))
     for label, problem in failures:
         print("ENTRY FAILED: {}: {}".format(label, problem))
     if failures:
         return 2
+    status = 0
     if lines > MAX_UNREACHED_LINES:
         print("never-entered lines {} exceed the limit {}: delete the code "
               "or give it an entry point".format(lines, MAX_UNREACHED_LINES))
-        return 1
-    return 0
+        status = 1
+    if count > MAX_UNTURNED_PARAMS:
+        print("unturned parameters {} exceed the limit {}: fold the knob "
+              "into a constant or give it a caller".format(
+                  count, MAX_UNTURNED_PARAMS))
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

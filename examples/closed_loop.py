@@ -16,7 +16,6 @@ from repro.bench.scenarios import (
 )
 from repro.sim.units import SECOND
 
-DRIFT_AT_S = 6
 DURATION_S = 30
 
 
@@ -25,8 +24,7 @@ def main():
     model = train_default_linnos_model(seed=1, train_seconds=15)
 
     print("running the closed-loop deployment...\n")
-    result, daemon = run_closed_loop_scenario(
-        model, seed=2, drift_at_s=DRIFT_AT_S, duration_s=DURATION_S)
+    result, daemon = run_closed_loop_scenario(model, duration_s=DURATION_S)
 
     print(format_series("I/O latency (per-second mean)",
                         result.per_second_means(), unit="us"))

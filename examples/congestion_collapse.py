@@ -28,7 +28,7 @@ def run(with_guardrail):
     kernel = Kernel(seed=11)
     link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0,
                                                noise_std=0.05))
-    install_learned_cc(kernel, link, train_capacity=100.0)
+    install_learned_cc(kernel, link)
     install_swaps = kernel.functions.slot("net.cc_update").swap_count
     monitor = None
     if with_guardrail:

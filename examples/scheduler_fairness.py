@@ -25,7 +25,7 @@ def build(with_guardrail):
         sched.spawn("interactive{}".format(i), burst_ns=1 * MILLISECOND)
     monitor = None
     if with_guardrail:
-        monitor = kernel.guardrails.load(fairness_liveness(max_wait_ms=100.0))
+        monitor = kernel.guardrails.load(fairness_liveness())
     kernel.run(until=5 * SECOND)
     return kernel, sched, monitor
 

@@ -17,8 +17,9 @@ One iteration of :func:`run_autopilot`:
    proposals face exactly the gates a human operator's would.
 4. **Verdict** — a completed rollout promotes the proposal (the next
    iteration observes under the new version); a tripped gate records
-   ``rolled_back``, widens the proposal margin by ``backoff``, and holds
-   the loop observe-only for ``cooldown`` iterations.  A spec that was
+   ``rolled_back``, widens the proposal margin by :data:`BACKOFF_FACTOR`,
+   and holds the loop observe-only for :data:`COOLDOWN_ITERATIONS`
+   iterations.  A spec that was
    rolled back is never re-proposed verbatim — the margin widening and
    the explicit rejected-spec guard both forbid it.
 
@@ -69,8 +70,6 @@ class AutopilotError(Exception):
 def run_autopilot(store, hosts=8, stages="canary:1,25%,100%", seed=42,
                   jobs=1, iterations=3, quick=False, corrupt_at=None,
                   quantile=TIGHTEN_QUANTILE, margin=TIGHTEN_MARGIN,
-                  floor=TIGHTEN_FLOOR, max_step=TIGHTEN_MAX_STEP,
-                  backoff=BACKOFF_FACTOR, cooldown=COOLDOWN_ITERATIONS,
                   deploy=True, synthesize=True):
     """Run the closed loop; returns the deterministic autopilot report.
 
@@ -127,8 +126,7 @@ def run_autopilot(store, hosts=8, stages="canary:1,25%,100%", seed=42,
 
         proposal = propose_tightening(
             samples, threshold, next_version, quantile=quantile,
-            margin=loop.margin, floor=floor, max_step=max_step,
-            guardrail=current_version.name)
+            margin=loop.margin, guardrail=current_version.name)
         if proposal is None:
             converged = True
             entry["action"] = "converged"
@@ -139,7 +137,7 @@ def run_autopilot(store, hosts=8, stages="canary:1,25%,100%", seed=42,
         if proposal.spec in rejected_specs:
             # The gates already rejected this exact spec; widen further
             # rather than asking the fleet the same question again.
-            loop.margin *= backoff
+            loop.margin *= BACKOFF_FACTOR
             entry["action"] = "suppressed"
             entry["proposal"] = proposal.to_dict()
             _finish_entry(entry, threshold, loop)
@@ -180,8 +178,8 @@ def run_autopilot(store, hosts=8, stages="canary:1,25%,100%", seed=42,
             store.set_proposal_verdict(proposal_id, "rolled_back",
                                        deploy_run=deploy_run)
             rejected_specs.add(proposal.spec)
-            loop.margin *= backoff
-            loop.cooldown_left = cooldown
+            loop.margin *= BACKOFF_FACTOR
+            loop.cooldown_left = COOLDOWN_ITERATIONS
             rolled_back += 1
             entry["action"] = "rolled_back"
             entry["rolled_back_at_stage"] = report["rolled_back_at_stage"]
@@ -199,8 +197,9 @@ def run_autopilot(store, hosts=8, stages="canary:1,25%,100%", seed=42,
             "hosts": hosts, "stages": stages, "seed": seed,
             "iterations": iterations, "quick": bool(quick),
             "corrupt_at": corrupt_at, "quantile": quantile,
-            "margin": margin, "floor": floor, "max_step": max_step,
-            "backoff": backoff, "cooldown": cooldown,
+            "margin": margin, "floor": TIGHTEN_FLOOR,
+            "max_step": TIGHTEN_MAX_STEP, "backoff": BACKOFF_FACTOR,
+            "cooldown": COOLDOWN_ITERATIONS,
             "observe_rounds": observe_rounds, "rate_ios": rate_ios,
         },
         "initial": {"threshold": INITIAL_THRESHOLD,

@@ -202,12 +202,12 @@ def storage_policy_manifest():
     )
 
 
-def propose_synthesis(manifest, base_version=1):
+def propose_synthesis(manifest):
     """Synthesized-metric :class:`Proposal` list for one policy manifest.
 
-    One proposal per applicable property, in property-id order, each
-    named ``<policy>-<property>`` and carrying the manifest fields it was
-    derived from.  These are *recorded* for audit (``grctl query
+    One version-1 proposal per applicable property, in property-id order,
+    each named ``<policy>-<property>`` and carrying the manifest fields it
+    was derived from.  These are *recorded* for audit (``grctl query
     autopilot``), not deployed: the simulated fleet hosts do not publish
     the synthesized instrumentation keys, so deploying would only trip
     the inconclusive-rate gate.
@@ -223,7 +223,7 @@ def propose_synthesis(manifest, base_version=1):
         }
         proposals.append(Proposal(
             "synthesize", "{}-{}".format(manifest.name, property_id),
-            base_version, specs[property_id], provenance))
+            1, specs[property_id], provenance))
     return proposals
 
 

@@ -60,11 +60,9 @@ NONDETERMINISTIC_FIELDS = ("wall_time_s", "info", "attempts", "error")
 INFO_KEY = "_info"
 
 
-def scenario(fn=None, *, quick=True, cost=1.0, seed=None):
-    """Attach scheduling metadata to a scenario function.
-
-    Usable bare (``@scenario``) or with arguments
-    (``@scenario(quick=False, cost=8.0, seed=2)``).
+def scenario(*, quick=True, cost=1.0, seed=None):
+    """Attach scheduling metadata to a scenario function:
+    ``@scenario(quick=False, cost=8.0, seed=2)``.
     """
     def apply(func):
         func.quick = quick
@@ -72,7 +70,7 @@ def scenario(fn=None, *, quick=True, cost=1.0, seed=None):
         func.seed = seed
         return func
 
-    return apply(fn) if fn is not None else apply
+    return apply
 
 
 def git_sha(cwd=None):

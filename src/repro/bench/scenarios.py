@@ -61,16 +61,23 @@ def build_storage_kernel(seed=1):
     return kernel, devices, volume
 
 
-def train_default_linnos_model(seed=1, train_seconds=20, rate_ios=900,
-                               epochs=15):
+#: I/O rate and epochs of the pre-drift training run.
+TRAIN_RATE_IOS = 900
+TRAIN_EPOCHS = 15
+#: I/O rate of the Figure 2 runs.
+FIG2_RATE_IOS = 1200
+
+
+def train_default_linnos_model(seed=1, train_seconds=20):
     """Collect pre-drift training data and fit the LinnOS classifier."""
     kernel, _devices, volume = build_storage_kernel(seed=seed)
     workload = PoissonWorkload(kernel, volume,
-                               [(train_seconds * SECOND, rate_ios)])
+                               [(train_seconds * SECOND, TRAIN_RATE_IOS)])
     features, labels = collect_training_data(
         kernel, volume, workload.start, train_seconds * SECOND
     )
-    return train_linnos_model(features, labels, epochs=epochs, seed=seed)
+    return train_linnos_model(features, labels, epochs=TRAIN_EPOCHS,
+                              seed=seed)
 
 
 class Fig2Result:
@@ -83,8 +90,11 @@ class Fig2Result:
         self.policy = policy
         self.series = kernel.metrics.series("storage.io_latency_us")
 
-    def moving_average(self, window=200):
-        return self.series.moving_average(window)
+    #: Points per moving-average window of the Figure 2 latency series.
+    SMOOTHING_WINDOW = 200
+
+    def moving_average(self):
+        return self.series.moving_average(self.SMOOTHING_WINDOW)
 
     def per_second_means(self):
         return bucket_series(self.series, SECOND)
@@ -129,9 +139,15 @@ guardrail low-false-submit {
 """
 
 
-def run_closed_loop_scenario(model, seed=2, drift_at_s=6, duration_s=24,
-                             rate_ios=1200, training_time_s=3,
-                             train_window=3000):
+#: The closed loop's seed and drift time; its simulated retraining time,
+#: and how many of the newest buffered samples it trains on.
+CLOSED_LOOP_SEED = 2
+CLOSED_LOOP_DRIFT_AT_S = 6
+RETRAIN_TIME_S = 3
+RETRAIN_WINDOW = 3000
+
+
+def run_closed_loop_scenario(model, duration_s=24):
     """Figure 2 extended with the full §3.2 lifecycle.
 
     misbehave -> detect -> disable -> retrain on the post-drift sample
@@ -141,15 +157,16 @@ def run_closed_loop_scenario(model, seed=2, drift_at_s=6, duration_s=24,
     from repro.core.retraining import RetrainDaemon
     from repro.policies.linnos import OnlineSampleBuffer, train_linnos_model
 
-    kernel, devices, volume = build_storage_kernel(seed=seed)
+    kernel, devices, volume = build_storage_kernel(seed=CLOSED_LOOP_SEED)
     policy = LinnosPolicy(kernel, model)
     volume.install_policy("storage.linnos", policy)
     buffer = OnlineSampleBuffer(volume)
     kernel.guardrails.load(CLOSED_LOOP_SPEC, cooldown=2 * SECOND)
 
     def trainer(request):
-        features, labels = buffer.dataset(last=train_window)
-        return train_linnos_model(features, labels, epochs=10, seed=seed)
+        features, labels = buffer.dataset(last=RETRAIN_WINDOW)
+        return train_linnos_model(features, labels, epochs=10,
+                                  seed=CLOSED_LOOP_SEED)
 
     def on_complete(new_model, request):
         policy.model = new_model
@@ -157,13 +174,13 @@ def run_closed_loop_scenario(model, seed=2, drift_at_s=6, duration_s=24,
 
     daemon = RetrainDaemon(kernel, poll_interval=1 * SECOND)
     daemon.register("linnos", trainer, on_complete,
-                    training_time=training_time_s * SECOND)
+                    training_time=RETRAIN_TIME_S * SECOND)
     daemon.start()
 
     schedule_profile_change(kernel, devices, DeviceProfile.post_drift(),
-                            drift_at_s * SECOND)
+                            CLOSED_LOOP_DRIFT_AT_S * SECOND)
     PoissonWorkload(kernel, volume,
-                    [(duration_s * SECOND, rate_ios)]).start()
+                    [(duration_s * SECOND, FIG2_RATE_IOS)]).start()
     kernel.run(until=duration_s * SECOND)
     return Fig2Result("closed-loop", kernel, volume, policy), daemon
 
@@ -185,7 +202,10 @@ guardrail alloc-bound {
 """
 
 
-def run_trace_demo_scenario(seed=7, duration_s=4):
+TRACE_DEMO_SEED = 7
+
+
+def run_trace_demo_scenario(duration_s=4):
     """A small self-contained run that lights up every trace category.
 
     A synthetic queue-depth ramp violates the TIMER guardrail mid-run
@@ -195,7 +215,7 @@ def run_trace_demo_scenario(seed=7, duration_s=4):
     """
     from repro.core.retraining import RetrainDaemon
 
-    kernel = Kernel(seed=seed, retrain_min_interval=SECOND)
+    kernel = Kernel(seed=TRACE_DEMO_SEED, retrain_min_interval=SECOND)
     alloc_hook = kernel.hooks.declare("mm.alloc")
     kernel.store.derive_moving_average("queue_depth", window=16)
     kernel.guardrails.load_all(TRACE_DEMO_SPECS)
@@ -223,9 +243,8 @@ def run_trace_demo_scenario(seed=7, duration_s=4):
 
 
 def run_figure2_scenario(model, mode, seed=2, drift_at_s=6, duration_s=18,
-                         rate_ios=1200, guardrail_spec=LISTING2_SPEC,
                          fault_plan=None, supervise=False,
-                         breaker_config=None, slow_call_ns=None):
+                         breaker_config=None):
     """One Figure 2 run.
 
     ``mode``: ``'baseline'`` (round-robin only), ``'linnos'`` (model, no
@@ -249,7 +268,7 @@ def run_figure2_scenario(model, mode, seed=2, drift_at_s=6, duration_s=18,
         policy = LinnosPolicy(kernel, model)
         volume.install_policy("storage.linnos", policy)
     if mode == "guarded":
-        kernel.guardrails.load(guardrail_spec)
+        kernel.guardrails.load(LISTING2_SPEC)
     injector = supervisor = None
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
@@ -261,12 +280,11 @@ def run_figure2_scenario(model, mode, seed=2, drift_at_s=6, duration_s=18,
         supervisor = PolicySupervisor(
             kernel, volume.PICK_SLOT, volume.FALLBACK_NAME,
             config=breaker_config,
-            validator=make_pick_validator(len(devices)),
-            slow_call_ns=slow_call_ns)
+            validator=make_pick_validator(len(devices)))
     schedule_profile_change(kernel, devices, DeviceProfile.post_drift(),
                             drift_at_s * SECOND)
     PoissonWorkload(kernel, volume,
-                    [(duration_s * SECOND, rate_ios)]).start()
+                    [(duration_s * SECOND, FIG2_RATE_IOS)]).start()
     kernel.run(until=duration_s * SECOND)
     result = Fig2Result(mode, kernel, volume, policy)
     result.injector = injector
@@ -321,9 +339,14 @@ def shortest_queue_policy():
     return pick
 
 
-def run_faults_demo_scenario(seed=11, duration_s=12, rate_ios=800,
-                             fault_plan=None, breaker_config=None,
-                             slow_call_ns=1_000_000):
+FAULTS_DEMO_SEED = 11
+FAULTS_DEMO_RATE_IOS = 800
+#: The chaos demo's slow-call ceiling on one pick (1 ms).
+SLOW_CALL_NS = 1_000_000
+
+
+def run_faults_demo_scenario(duration_s=12, fault_plan=None,
+                             breaker_config=None):
     """A small self-contained chaos run for ``grctl faults`` and the bench.
 
     A synthetic storage kernel serves a Poisson read workload through a
@@ -337,7 +360,7 @@ def run_faults_demo_scenario(seed=11, duration_s=12, rate_ios=800,
     """
     from repro.faults.supervisor import PolicySupervisor, make_pick_validator
 
-    kernel, devices, volume = build_storage_kernel(seed=seed)
+    kernel, devices, volume = build_storage_kernel(seed=FAULTS_DEMO_SEED)
     kernel.store.derive_time_average("io_latency_us", window=2 * SECOND)
     volume.install_policy("storage.shortest_queue", shortest_queue_policy())
     monitor = kernel.guardrails.load(FAULTS_DEMO_SPEC, cooldown=2 * SECOND)
@@ -351,9 +374,9 @@ def run_faults_demo_scenario(seed=11, duration_s=12, rate_ios=800,
         kernel, volume.PICK_SLOT, volume.FALLBACK_NAME,
         config=breaker_config,
         validator=make_pick_validator(len(devices)),
-        slow_call_ns=slow_call_ns)
+        slow_call_ns=SLOW_CALL_NS)
 
     PoissonWorkload(kernel, volume,
-                    [(duration_s * SECOND, rate_ios)]).start()
+                    [(duration_s * SECOND, FAULTS_DEMO_RATE_IOS)]).start()
     kernel.run(until=duration_s * SECOND)
     return FaultsDemoResult(kernel, volume, monitor, injector, supervisor)

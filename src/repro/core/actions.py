@@ -13,15 +13,14 @@ from repro.core.errors import ActionError
 class ActionContext:
     """What an action may see when it runs."""
 
-    __slots__ = ("host", "guardrail", "rule_source", "now", "payload", "rule_values")
+    __slots__ = ("host", "guardrail", "rule_source", "now", "payload")
 
-    def __init__(self, host, guardrail, rule_source, now, payload, rule_values=None):
+    def __init__(self, host, guardrail, rule_source, now, payload):
         self.host = host
         self.guardrail = guardrail
         self.rule_source = rule_source
         self.now = now
         self.payload = payload
-        self.rule_values = rule_values or {}
 
 
 class Action:

@@ -70,28 +70,19 @@ class _DerivedWindowedMean(_DerivedKey):
 
 
 class _DerivedRate(_DerivedKey):
-    """Rate aggregates need timestamps, not just values."""
+    """Rate aggregates need timestamps, not just values.  A save counts
+    as an event when its value is truthy."""
 
-    def __init__(self, name, source, window, predicate=None):
+    def __init__(self, name, source, window):
         super().__init__(name, source, RateCounter(window), None)
-        # The default predicate (truthiness of a 0/1 event value) is
-        # order-free integer math, so batches take the vector lane below.
-        self._default_predicate = predicate is None
-        self._predicate = predicate or (lambda v: bool(v))
 
     def update(self, value, now):
-        self.estimator.observe(now, self._predicate(value))
+        self.estimator.observe(now, bool(value))
 
     def update_batch(self, values, times):
-        if self._default_predicate:
-            # bool(v) == (v != 0) for numeric v (NaN is truthy either way);
-            # the counter's batched observe is exact for monotone times.
-            self.estimator.observe_batch(times, values)
-            return
-        observe = self.estimator.observe
-        predicate = self._predicate
-        for value, now in zip(values, times):
-            observe(now, predicate(float(value)))
+        # bool(v) == (v != 0) for numeric v (NaN is truthy either way);
+        # the counter's batched observe is exact for monotone times.
+        self.estimator.observe_batch(times, values)
 
     def value(self, now):
         return self.estimator.rate(now)
@@ -364,14 +355,14 @@ class FeatureStore(DeferredFlush):
         name = name or source + ".tavg"
         return self._register_derived(_DerivedWindowedMean(name, source, window))
 
-    def derive_rate(self, source, window, predicate=None, name=None):
-        """``name`` is the fraction of recent saves satisfying ``predicate``.
+    def derive_rate(self, source, window, name=None):
+        """``name`` is the fraction of recent saves that are truthy.
 
-        With the default predicate the source is expected to be saved as
-        0/1 (or bool) event outcomes, e.g. ``SAVE(false_submit, 1)``.
+        The source is expected to be saved as 0/1 (or bool) event outcomes,
+        e.g. ``SAVE(false_submit, 1)``.
         """
         name = name or source + ".rate"
-        return self._register_derived(_DerivedRate(name, source, window, predicate))
+        return self._register_derived(_DerivedRate(name, source, window))
 
     def snapshot(self):
         """All current raw values plus derived values (for REPORT payloads).

@@ -126,22 +126,14 @@ class NullTaskController:
 class MonitorHost:
     """Everything a guardrail monitor needs from the surrounding system."""
 
-    def __init__(self, engine=None, hooks=None, store=None, functions=None,
-                 retrain_queue=None, task_controller=None, reporter=None,
-                 supervisor=None):
+    def __init__(self, engine=None, retrain_queue=None, reporter=None):
         self.engine = engine if engine is not None else Engine()
-        self.hooks = hooks if hooks is not None else HookRegistry(self.engine)
-        self.store = store if store is not None else FeatureStore(
-            clock=lambda: self.engine.now
-        )
-        self.functions = functions if functions is not None else FunctionTable()
+        self.hooks = HookRegistry(self.engine)
+        self.store = FeatureStore(clock=lambda: self.engine.now)
+        self.functions = FunctionTable()
         self.retrain_queue = retrain_queue if retrain_queue is not None else RetrainQueue()
-        self.task_controller = (
-            task_controller if task_controller is not None else NullTaskController()
-        )
+        self.task_controller = NullTaskController()
         self.reporter = reporter if reporter is not None else ViolationReporter()
         # Crash-only containment: monitors report crashing rules/actions
         # here; the supervisor trips per-guardrail circuit breakers.
-        self.supervisor = (
-            supervisor if supervisor is not None else MonitorSupervisor(self)
-        )
+        self.supervisor = MonitorSupervisor(self)

@@ -40,11 +40,11 @@ class Violation:
 class GuardrailMonitor:
     """Runtime state of one loaded guardrail."""
 
-    def __init__(self, compiled, host, cost_model=None):
+    def __init__(self, compiled, host):
         self.compiled = compiled
         self.name = compiled.name
         self.host = host
-        self.overhead = OverheadAccount(cost_model)
+        self.overhead = OverheadAccount()
         # Hot-path aliases: check() runs per trigger firing, so the stable
         # attribute chains (host.engine, host.store, compiled.rules) are
         # resolved once here.  The store is aliased by *object* — fault

@@ -61,11 +61,13 @@ class InferenceMeter:
     A cumulative ledger can hide a regression behind months of banked
     gains, so ``record_decision`` additionally maintains
     ``<prefix>.net_benefit_window`` — the moving average of per-decision
-    net benefit over the last ``window`` decisions — which is what a
+    net benefit over the last :attr:`WINDOW` decisions — which is what a
     responsive P5 guardrail should watch.
     """
 
-    def __init__(self, store, prefix, window=64):
+    WINDOW = 64
+
+    def __init__(self, store, prefix):
         from repro.detect.streaming import MovingAverage
 
         self.store = store
@@ -73,7 +75,7 @@ class InferenceMeter:
         self.inference_ns = 0
         self.gain_ns = 0
         self.inferences = 0
-        self._window = MovingAverage(window)
+        self._window = MovingAverage(self.WINDOW)
         self._keys = tuple(prefix + suffix for suffix in (
             ".inference_ns", ".gain_ns", ".net_benefit", ".inferences"))
         self._publish()

@@ -2,6 +2,11 @@
 
 from repro.sim.units import SECOND
 
+#: P6's check period and starvation bound: the paper's "no ready task
+#: starved for more than 100 ms", checked every 100 ms.
+FAIRNESS_INTERVAL = 100_000_000
+MAX_WAIT_MS = 100.0
+
 
 def _format_actions(actions):
     return ",\n    ".join(actions)
@@ -50,19 +55,18 @@ def in_distribution(policy, psi_threshold=0.25, oor_threshold=0.05,
 
 
 def robustness(policy, sensitivity_threshold, interval=1 * SECOND,
-               actions=None, model=None):
+               model=None):
     """P2 — similar inputs must yield similar outputs.
 
     Watches ``<policy>.output_sensitivity`` (EWMA of the output swing under
-    small input perturbations, published by the SensitivityProbe).  Default
-    action: RETRAIN, per Figure 1's pairing for noise sensitivity.
+    small input perturbations, published by the SensitivityProbe).  Action:
+    RETRAIN ``model`` (defaults to the policy name), per Figure 1's pairing
+    for noise sensitivity.
     """
-    model = model or policy
-    if actions is None:
-        actions = [
-            "REPORT(LOAD({p}.output_sensitivity))".format(p=policy),
-            "RETRAIN({m})".format(m=model),
-        ]
+    actions = [
+        "REPORT(LOAD({p}.output_sensitivity))".format(p=policy),
+        "RETRAIN({m})".format(m=model or policy),
+    ]
     return _guardrail(
         "{}-robustness".format(policy),
         ["TIMER(start_time, {})".format(interval)],
@@ -72,21 +76,19 @@ def robustness(policy, sensitivity_threshold, interval=1 * SECOND,
     )
 
 
-def output_bounds(name, hook, rule, fallback_slot, fallback_impl,
-                  actions=None):
+def output_bounds(name, hook, rule, fallback_slot, fallback_impl):
     """P3 — outputs must be within legal bounds, checked at the source.
 
     ``hook`` is the kernel function whose payload carries the decision
     (e.g. ``mm.alloc`` with ``granted``/``available``); ``rule`` is the
     bound over those payload names (e.g. ``granted <= available``).
-    Default action: REPLACE the policy with its fallback — Figure 1 pairs
+    Action: REPLACE the policy with its fallback — Figure 1 pairs
     out-of-bound decisions with disabling the learned policy.
     """
-    if actions is None:
-        actions = [
-            "REPORT()",
-            "REPLACE({}, {})".format(fallback_slot, fallback_impl),
-        ]
+    actions = [
+        "REPORT()",
+        "REPLACE({}, {})".format(fallback_slot, fallback_impl),
+    ]
     return _guardrail(
         "{}-output-bounds".format(name),
         ["FUNCTION({})".format(hook)],
@@ -97,17 +99,16 @@ def output_bounds(name, hook, rule, fallback_slot, fallback_impl,
 
 def decision_quality(name, metric_key, baseline_key, margin=0.0,
                      interval=1 * SECOND, fallback_slot=None,
-                     fallback_impl=None, actions=None):
+                     fallback_impl=None):
     """P4 — decisions must beat the baseline.
 
     Rule: ``LOAD(metric) >= LOAD(baseline) - margin`` (e.g. the learned
-    cache's hit rate against the shadow random cache's).  Default action:
-    REPLACE with the fallback when one is given, else REPORT.
+    cache's hit rate against the shadow random cache's).  Action: REPLACE
+    with the fallback when one is given, else REPORT.
     """
-    if actions is None:
-        actions = ["REPORT(LOAD({}), LOAD({}))".format(metric_key, baseline_key)]
-        if fallback_slot and fallback_impl:
-            actions.append("REPLACE({}, {})".format(fallback_slot, fallback_impl))
+    actions = ["REPORT(LOAD({}), LOAD({}))".format(metric_key, baseline_key)]
+    if fallback_slot and fallback_impl:
+        actions.append("REPLACE({}, {})".format(fallback_slot, fallback_impl))
     rule = "LOAD({m}) >= LOAD({b}) - {g}".format(
         m=metric_key, b=baseline_key, g=margin
     )
@@ -120,20 +121,19 @@ def decision_quality(name, metric_key, baseline_key, margin=0.0,
 
 
 def decision_overhead(policy, interval=1 * SECOND, fallback_slot=None,
-                      fallback_impl=None, actions=None, windowed=False):
+                      fallback_impl=None, windowed=False):
     """P5 — inference cost must be offset by measured gains.
 
     Rule: ``LOAD(<policy>.net_benefit) >= 0`` over the InferenceMeter's
     ledger; with ``windowed=True`` the rule watches
     ``<policy>.net_benefit_window`` instead, so a regression cannot hide
-    behind previously banked gains.  Default action: REPLACE with the
-    fallback when given (running a model that costs more than it saves is
-    strictly worse than the heuristic), else REPORT.
+    behind previously banked gains.  Action: REPLACE with the fallback when
+    given (running a model that costs more than it saves is strictly worse
+    than the heuristic), else REPORT.
     """
-    if actions is None:
-        actions = ["REPORT(LOAD({p}.inference_ns), LOAD({p}.gain_ns))".format(p=policy)]
-        if fallback_slot and fallback_impl:
-            actions.append("REPLACE({}, {})".format(fallback_slot, fallback_impl))
+    actions = ["REPORT(LOAD({p}.inference_ns), LOAD({p}.gain_ns))".format(p=policy)]
+    if fallback_slot and fallback_impl:
+        actions.append("REPLACE({}, {})".format(fallback_slot, fallback_impl))
     key = "net_benefit_window" if windowed else "net_benefit"
     return _guardrail(
         "{}-decision-overhead".format(policy),
@@ -143,24 +143,17 @@ def decision_overhead(policy, interval=1 * SECOND, fallback_slot=None,
     )
 
 
-def fairness_liveness(name="sched", max_wait_ms=100.0,
-                      interval=100_000_000, actions=None,
-                      fallback_slot="sched.pick_next",
-                      fallback_impl="sched.cfs"):
+def fairness_liveness():
     """P6 — system-level fairness/liveness.
 
     The paper's running example: "No ready task should be starved for more
     than 100 ms", over the scheduler's published ``sched.max_wait_ms``.
-    Default action: REPLACE the picker with the CFS baseline.
+    Action: REPLACE the picker with the CFS baseline.
     """
-    if actions is None:
-        actions = [
-            "REPORT(LOAD(sched.max_wait_ms))",
-            "REPLACE({}, {})".format(fallback_slot, fallback_impl),
-        ]
     return _guardrail(
-        "{}-fairness-liveness".format(name),
-        ["TIMER(start_time, {})".format(interval)],
-        ["LOAD(sched.max_wait_ms) <= {}".format(max_wait_ms)],
-        actions,
+        "sched-fairness-liveness",
+        ["TIMER(start_time, {})".format(FAIRNESS_INTERVAL)],
+        ["LOAD(sched.max_wait_ms) <= {}".format(MAX_WAIT_MS)],
+        ["REPORT(LOAD(sched.max_wait_ms))",
+         "REPLACE(sched.pick_next, sched.cfs)"],
     )

@@ -12,9 +12,9 @@ from repro.core.errors import GuardrailError
 
 
 class GuardrailManager:
-    def __init__(self, host, compiler=None):
+    def __init__(self, host):
         self.host = host
-        self.compiler = compiler if compiler is not None else GuardrailCompiler()
+        self.compiler = GuardrailCompiler()
         self._monitors = {}
         self.load_count = 0
         self.update_count = 0
@@ -38,19 +38,22 @@ class GuardrailManager:
             monitor.arm()
         return monitor
 
-    def load_all(self, text, arm=True):
-        """Load every guardrail block in a DSL file; returns the monitors."""
+    def load_all(self, text):
+        """Load and arm every guardrail block in a DSL file; returns the
+        monitors."""
         from repro.core.spec import parse_guardrails
 
-        return [self.load(spec, arm=arm) for spec in parse_guardrails(text)]
+        return [self.load(spec) for spec in parse_guardrails(text)]
 
-    def update(self, guardrail, arm=True, cooldown=0):
-        """Replace a loaded guardrail with a recompiled version, no reboot.
+    def update(self, guardrail):
+        """Replace a loaded guardrail with a recompiled, armed version, no
+        reboot.
 
         The old monitor is disarmed first so there is no window where both
-        versions fire.  Violation history does not carry over.
+        versions fire.  Violation history does not carry over, and the new
+        version has no action cooldown.
         """
-        compiled = self._ensure_compiled(guardrail, cooldown)
+        compiled = self._ensure_compiled(guardrail, 0)
         old = self._monitors.get(compiled.name)
         if old is None:
             raise GuardrailError(
@@ -60,8 +63,7 @@ class GuardrailManager:
         monitor = compiled.instantiate(self.host)
         self._monitors[compiled.name] = monitor
         self.update_count += 1
-        if arm:
-            monitor.arm()
+        monitor.arm()
         return monitor
 
     def unload(self, name):

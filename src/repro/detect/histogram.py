@@ -48,13 +48,15 @@ class Histogram:
         for value in values:
             self.update(value)
 
-    def proportions(self, floor=1e-6):
-        """Per-bin fractions including under/overflow, floored away from 0.
+    #: Keeps PSI finite when a bin is empty on one side.
+    PROPORTION_FLOOR = 1e-6
 
-        The floor keeps PSI finite when a bin is empty on one side.
-        """
+    def proportions(self):
+        """Per-bin fractions including under/overflow, floored away from 0
+        at :attr:`PROPORTION_FLOOR`."""
         denominator = max(self.total, 1)
         raw = [self.underflow] + self.counts + [self.overflow]
+        floor = self.PROPORTION_FLOOR
         return [max(c / denominator, floor) for c in raw]
 
     def cdf(self):

@@ -144,7 +144,7 @@ def evaluate_config(gate, results):
     }
 
 
-def compare_configs(document, gate_a, gate_b, seed=0):
+def compare_configs(document, gate_a, gate_b):
     """Paired comparison of two gate configs on the same fleet episodes.
 
     Correctness is the per-episode score; the permutation test asks
@@ -163,7 +163,7 @@ def compare_configs(document, gate_a, gate_b, seed=0):
         "b": {"gate": gate_b.to_dict(), "correct": sum(scores_b),
               "clean_trips": b["clean_trips"],
               "missed_faults": b["missed_faults"]},
-        "p_value": paired_permutation_pvalue(scores_a, scores_b, seed=seed),
+        "p_value": paired_permutation_pvalue(scores_a, scores_b),
     }
 
 

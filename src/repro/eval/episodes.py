@@ -306,8 +306,7 @@ def fleet_verdict(gate, stages):
     return {"verdict": "allow", "tripped_stage": None, "tripped_axes": []}
 
 
-def run_fleet_episode(hosts, seed, fault_hosts, fault_kind, quick, gate=None,
-                      jobs=1):
+def run_fleet_episode(hosts, seed, fault_hosts, fault_kind, quick, gate=None):
     """Run one recorded fleet rollout episode; verdict computed offline."""
     from repro.fleet.rollout import GateConfig
     from repro.fleet.scenario import run_fleet_rollout
@@ -317,7 +316,7 @@ def run_fleet_episode(hosts, seed, fault_hosts, fault_kind, quick, gate=None,
                                fault_hosts=fault_hosts,
                                fault_kind=fault_kind if fault_hosts else
                                "corrupt",
-                               quick=quick, jobs=jobs, gate=permissive_gate())
+                               quick=quick, gate=permissive_gate())
     stages = [{"stage": entry["stage"]["label"],
                "measurements": entry["gate"]["measurements"]}
               for entry in report["stages"]]

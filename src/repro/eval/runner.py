@@ -140,8 +140,9 @@ def _merge_outcome(episode, outcome, gate):
     return result
 
 
-def run_episode(episode, gate=None):
-    """Run one dataset episode synchronously, without the process pool.
+def run_episode(episode):
+    """Run one dataset episode synchronously, without the process pool,
+    under the default gate.
 
     Same merged-result shape as one entry of ``run_eval()["episodes"]``.
     For callers that already live inside a pool worker (benchmarks) —
@@ -149,23 +150,23 @@ def run_episode(episode, gate=None):
     """
     from repro.fleet.rollout import GateConfig
 
-    gate = gate or GateConfig()
+    gate = GateConfig()
     payload = _episode_payload(episode, gate.to_dict())
     outcome = {"id": episode["id"], "status": "ok",
                "payload": {"result": payload}}
     return _merge_outcome(episode, outcome, gate)
 
 
-def run_eval(dataset_path=None, tier="full", jobs=1, gate=None, ids=None,
+def run_eval(dataset_path=None, tier="full", jobs=1, ids=None,
              progress=None, timeout_s=DEFAULT_TIMEOUT_S):
     """Run the (selected) dataset; returns the deterministic document.
 
-    ``gate`` is the :class:`~repro.fleet.rollout.GateConfig` under
-    evaluation for fleet episodes (default: the calibrated defaults).
+    Fleet episodes are judged by the calibrated default
+    :class:`~repro.fleet.rollout.GateConfig`.
     """
     from repro.fleet.rollout import GateConfig
 
-    gate = gate or GateConfig()
+    gate = GateConfig()
     header, episodes = load_dataset(dataset_path)
     selected = select_episodes(episodes, tier=tier, ids=ids)
     if not selected:

@@ -18,8 +18,13 @@ import math
 import random
 
 
-def wilson_interval(successes, n, z=1.96):
-    """Wilson score interval for ``successes``/``n``; returns ``(lo, hi)``.
+#: Normal quantile of the two-sided 95% interval.
+Z = 1.96
+
+
+def wilson_interval(successes, n):
+    """95% Wilson score interval for ``successes``/``n``; returns
+    ``(lo, hi)``.
 
     ``n=0`` returns the vacuous ``(0.0, 1.0)`` — no data constrains
     nothing — rather than raising, so callers can annotate empty cells.
@@ -32,10 +37,10 @@ def wilson_interval(successes, n, z=1.96):
     if n == 0:
         return (0.0, 1.0)
     p = successes / n
-    z2 = z * z
+    z2 = Z * Z
     denominator = 1.0 + z2 / n
     centre = (p + z2 / (2.0 * n)) / denominator
-    spread = (z / denominator) * math.sqrt(
+    spread = (Z / denominator) * math.sqrt(
         p * (1.0 - p) / n + z2 / (4.0 * n * n))
     return (max(0.0, centre - spread), min(1.0, centre + spread))
 

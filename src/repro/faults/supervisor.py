@@ -33,20 +33,19 @@ STATE_HALF_OPEN = "half_open"
 class BreakerConfig:
     """Tunables shared by monitor and policy breakers."""
 
-    __slots__ = ("crash_threshold", "base_backoff_ns", "backoff_factor",
-                 "max_backoff_ns")
+    __slots__ = ("crash_threshold", "base_backoff_ns", "max_backoff_ns")
+
+    #: Each failed half-open probe multiplies the backoff by this.
+    BACKOFF_FACTOR = 2.0
 
     def __init__(self, crash_threshold=3, base_backoff_ns=1 * SECOND,
-                 backoff_factor=2.0, max_backoff_ns=60 * SECOND):
+                 max_backoff_ns=60 * SECOND):
         if crash_threshold < 1:
             raise ValueError("crash_threshold must be >= 1")
         if base_backoff_ns <= 0:
             raise ValueError("base_backoff_ns must be positive")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
         self.crash_threshold = int(crash_threshold)
         self.base_backoff_ns = int(base_backoff_ns)
-        self.backoff_factor = float(backoff_factor)
         self.max_backoff_ns = int(max_backoff_ns)
 
 
@@ -85,7 +84,7 @@ class CircuitBreaker:
         if self.state == STATE_HALF_OPEN:
             # The probe failed: re-open with the backoff doubled.
             self.backoff_ns = min(
-                int(self.backoff_ns * self.config.backoff_factor),
+                int(self.backoff_ns * self.config.BACKOFF_FACTOR),
                 self.config.max_backoff_ns)
             self._trip(now)
             return True
@@ -132,17 +131,17 @@ class MonitorSupervisor:
     The monitor runtime reports contained crashes here; after ``K``
     consecutive crashes of one guardrail its breaker trips, the monitor is
     disarmed, and a re-arm is scheduled with exponential virtual-time
-    backoff.  ``contain=False`` restores the pre-supervision behavior
+    backoff.  Setting ``contain = False`` restores the pre-supervision behavior
     (crashes propagate and abort the run) — kept as an escape hatch so the
     regression tests can demonstrate the failure mode the supervisor fixes.
     """
 
     MAX_SUPPRESSED = 1_000
 
-    def __init__(self, host, config=None, contain=True):
+    def __init__(self, host):
         self.host = host
-        self.config = config if config is not None else BreakerConfig()
-        self.contain = contain
+        self.config = BreakerConfig()
+        self.contain = True
         self.breakers = {}
         self.rule_crash_count = 0
         self.action_crash_count = 0

@@ -245,9 +245,12 @@ class GateResult:
 class RolloutPlan:
     """The full deployment recipe: baseline bake, stages, gate bounds."""
 
-    __slots__ = ("stages", "baseline_rounds", "gate", "settle_rounds")
+    __slots__ = ("stages", "baseline_rounds", "gate")
 
-    def __init__(self, stages, baseline_rounds=3, gate=None, settle_rounds=1):
+    #: Rounds a rollback bakes on the old version before the run ends.
+    SETTLE_ROUNDS = 1
+
+    def __init__(self, stages, baseline_rounds=3, gate=None):
         if not stages:
             raise ValueError("a rollout needs at least one stage")
         if baseline_rounds < 1:
@@ -255,12 +258,11 @@ class RolloutPlan:
         self.stages = list(stages)
         self.baseline_rounds = int(baseline_rounds)
         self.gate = gate or GateConfig()
-        self.settle_rounds = int(settle_rounds)
 
     def to_dict(self):
         return {
             "baseline_rounds": self.baseline_rounds,
-            "settle_rounds": self.settle_rounds,
+            "settle_rounds": self.SETTLE_ROUNDS,
             "stages": [stage.to_dict() for stage in self.stages],
             "gate": self.gate.to_dict(),
         }
@@ -411,7 +413,7 @@ class RolloutController:
                          version=self.old_version.version)
             rollback_start = self._round_index
             settle = self._bake(
-                max(self.plan.settle_rounds, 1), all_ids,
+                self.plan.SETTLE_ROUNDS, all_ids,
                 self._directives(rollback_hosts, self.old_version))
             self._notify_phase("rollback", stage.label, len(rollback_hosts),
                                rollback_start)

@@ -155,10 +155,10 @@ def build_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42,
         rate_ios, baseline_rounds, bake_rounds = 500, 3, 2
     stage_list = parse_stages(stages, hosts, default_bake=bake_rounds)
     plan = RolloutPlan(stage_list, baseline_rounds=baseline_rounds,
-                       gate=gate or GateConfig(), settle_rounds=1)
+                       gate=gate or GateConfig())
     total_rounds = (plan.baseline_rounds
                     + sum(stage.bake_rounds for stage in plan.stages)
-                    + plan.settle_rounds)
+                    + plan.SETTLE_ROUNDS)
     old_version, new_version = versions if versions else fleet_versions()
     specs = make_fleet_specs(hosts, seed, rate_ios,
                              fault_hosts=fault_hosts,
@@ -179,7 +179,7 @@ def build_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42,
 
 def run_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42, jobs=1,
                       fault_hosts=0, quick=False, fault_kind="corrupt",
-                      gate=None, observer=None, versions=None):
+                      gate=None, observer=None):
     """Run the canonical staged rollout; returns the rollout report dict.
 
     The report is deterministic for ``(hosts, stages, seed, fault_hosts,
@@ -189,8 +189,7 @@ def run_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42, jobs=1,
     """
     built = build_fleet_rollout(hosts=hosts, stages=stages, seed=seed,
                                 fault_hosts=fault_hosts, quick=quick,
-                                fault_kind=fault_kind, gate=gate,
-                                versions=versions)
+                                fault_kind=fault_kind, gate=gate)
     with FleetRunner(built.specs, built.old_version, SECOND,
                      built.total_rounds, jobs=jobs) as runner:
         controller = RolloutController(runner, built.old_version,

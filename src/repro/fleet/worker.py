@@ -52,18 +52,17 @@ class HostSpec:
     ``policy`` picks the storage replica-selection policy (one of
     :data:`STORAGE_POLICIES`); ``domains`` lists the policy domains the
     host composes (``"storage"`` always first — the digest's I/O sketches
-    ride on it); ``workload`` is the workload token the extra domains run
-    (see :mod:`repro.scenarios.domains`).  The defaults reproduce the
-    original single-policy storage host exactly.
+    ride on it); the extra domains run their ``quiet`` workload (see
+    :mod:`repro.scenarios.domains`).  The defaults reproduce the original
+    single-policy storage host exactly.
     """
 
     __slots__ = ("host_id", "seed", "rate_ios", "fault_flags", "fault_seed",
-                 "drift_s", "policy", "domains", "workload")
+                 "drift_s", "policy", "domains")
 
     def __init__(self, host_id, seed, rate_ios=400,
                  fault_flags=(), fault_seed=0, drift_s=None,
-                 policy="storage.shortest_queue", domains=("storage",),
-                 workload="quiet"):
+                 policy="storage.shortest_queue", domains=("storage",)):
         self.host_id = int(host_id)
         self.seed = int(seed)
         self.rate_ios = int(rate_ios)
@@ -72,7 +71,6 @@ class HostSpec:
         self.drift_s = None if drift_s is None else float(drift_s)
         self.policy = str(policy)
         self.domains = tuple(domains)
-        self.workload = str(workload)
         if self.policy not in STORAGE_POLICIES:
             raise ValueError(
                 "host {}: unknown storage policy {!r}; known: {}".format(
@@ -141,7 +139,7 @@ class SimulatedHost:
         for domain in spec.domains[1:]:
             from repro.scenarios.domains import attach_domain
 
-            rig = attach_domain(kernel, domain, workload=spec.workload,
+            rig = attach_domain(kernel, domain,
                                 duration_ns=total_rounds * round_ns)
             self.rigs.append(rig)
             for monitor in rig.monitors:
@@ -329,8 +327,8 @@ class _ProcessShard:
                 "fleet worker for hosts {} is gone".format(
                     [s.host_id for s in self.specs]))
 
-    def collect(self, timeout_s=_WORKER_TIMEOUT_S):
-        deadline = time.monotonic() + timeout_s
+    def collect(self):
+        deadline = time.monotonic() + _WORKER_TIMEOUT_S
         while True:
             try:
                 if self.conn.poll(_POLL_S):

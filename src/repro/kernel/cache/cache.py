@@ -69,10 +69,8 @@ class KvCache(_PolicyCache):
     EVICT_SLOT = "cache.evict"
     BASELINE_NAME = "cache.random"
 
-    def __init__(self, kernel, capacity, window=1 * SECOND,
-                 metric_prefix="cache"):
+    def __init__(self, kernel, capacity, window=1 * SECOND):
         self.kernel = kernel
-        self.metric_prefix = metric_prefix
         baseline = random_evict(kernel.engine.rng.get("cache.random"))
         if self.EVICT_SLOT not in kernel.functions:
             slot = kernel.functions.register(self.EVICT_SLOT, baseline)
@@ -106,8 +104,8 @@ class KvCache(_PolicyCache):
             window = self._shadow_windows[name]
             window.observe(now, shadow_hit)
             store.save("cache.{}.hit_rate".format(name), window.rate(now))
-        self.kernel.metrics.increment(self.metric_prefix + ".accesses")
+        self.kernel.metrics.increment("cache.accesses")
         if hit:
-            self.kernel.metrics.increment(self.metric_prefix + ".hits")
+            self.kernel.metrics.increment("cache.hits")
         self.access_hook.fire(key=key, hit=hit)
         return hit

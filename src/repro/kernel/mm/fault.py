@@ -29,13 +29,14 @@ def never_promote():
 class PageFaultHandler:
     PROMOTE_SLOT = "mm.promote_hugepage"
     BASELINE_NAME = "mm.never_promote"
+    BASE_FAULT_US = 3.0
+    HUGEPAGE_BONUS_US = 1.5
+    COMPACTION_MS_AT_FULL_FRAG = 400.0
+    #: Faults averaged into ``mm.page_fault_latency_ms``.
+    AVG_WINDOW = 128
 
-    def __init__(self, kernel, base_fault_us=3.0, hugepage_bonus_us=1.5,
-                 compaction_ms_at_full_frag=400.0, avg_window=128):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.base_fault_us = base_fault_us
-        self.hugepage_bonus_us = hugepage_bonus_us
-        self.compaction_ms_at_full_frag = compaction_ms_at_full_frag
         self.fragmentation = 0.0
         self.fault_hook = kernel.hooks.declare("mm.page_fault")
         self.fault_count = 0
@@ -47,7 +48,7 @@ class PageFaultHandler:
             kernel.functions.register(self.PROMOTE_SLOT, baseline)
             kernel.functions.register_implementation(self.BASELINE_NAME, baseline)
         kernel.store.derive_moving_average("mm.page_fault_latency_ms",
-                                           window=avg_window)
+                                           window=self.AVG_WINDOW)
         kernel.store.save("mm.fragmentation", self.fragmentation)
 
     def set_fragmentation(self, level):
@@ -68,20 +69,20 @@ class PageFaultHandler:
             "recent_faults": self.fault_count,
         }
         promote = bool(policy(context))
-        latency_us = self._rng.lognormal(0.0, 0.3) * self.base_fault_us
+        latency_us = self._rng.lognormal(0.0, 0.3) * self.BASE_FAULT_US
         if promote:
             self.promotion_count += 1
             # Compaction stall scales superlinearly with fragmentation: with
             # a defragmented buddy allocator promotion is nearly free, under
             # heavy fragmentation it reaches the CBMM-reported hundreds of ms.
-            stall_ms = self.compaction_ms_at_full_frag * (self.fragmentation ** 2)
+            stall_ms = self.COMPACTION_MS_AT_FULL_FRAG * (self.fragmentation ** 2)
             stall_ms *= self._rng.uniform(0.5, 1.5)
             if stall_ms > 1.0:
                 self.stalled_promotions += 1
             latency_us += stall_ms * 1000.0
         else:
             # Base pages fault more often later; charge a small deferred cost.
-            latency_us += self.hugepage_bonus_us
+            latency_us += self.HUGEPAGE_BONUS_US
 
         latency_ms = latency_us / 1000.0
         self.kernel.store.save("mm.page_fault_latency_ms", latency_ms)

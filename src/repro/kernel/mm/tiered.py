@@ -28,13 +28,13 @@ def never_migrate():
     return policy
 
 
-def promote_on_second_access(threshold=2):
-    """Simple heuristic: promote after ``threshold`` slow-tier touches."""
+def promote_on_second_access():
+    """Simple heuristic: promote on the second slow-tier touch."""
     counts = collections.Counter()
 
     def policy(page, context):
         counts[page] += 1
-        return counts[page] >= threshold
+        return counts[page] >= 2
 
     return policy
 
@@ -42,23 +42,23 @@ def promote_on_second_access(threshold=2):
 class TieredMemory:
     PLACEMENT_SLOT = "mm.tier_placement"
     BASELINE_NAME = "mm.promote_on_second_access"
+    FAST_LATENCY_NS = 100
+    SLOW_LATENCY_NS = 900
+    MIGRATION_COST_NS = 2_000
+    #: Window of ``mm.tier_hit_rate``.
+    HIT_WINDOW = 1 * SECOND
 
-    def __init__(self, kernel, fast_capacity, fast_latency_ns=100,
-                 slow_latency_ns=900, migration_cost_ns=2_000,
-                 hit_window=1 * SECOND):
+    def __init__(self, kernel, fast_capacity):
         if fast_capacity <= 0:
             raise ValueError("fast_capacity must be positive")
         self.kernel = kernel
         self.fast_capacity = fast_capacity
-        self.fast_latency_ns = fast_latency_ns
-        self.slow_latency_ns = slow_latency_ns
-        self.migration_cost_ns = migration_cost_ns
         self._fast = collections.OrderedDict()  # page -> None, LRU order
         self.access_hook = kernel.hooks.declare("mm.tier_access")
         self.accesses = 0
         self.fast_hits = 0
         self.migrations = 0
-        self._hits = RateCounter(hit_window)
+        self._hits = RateCounter(self.HIT_WINDOW)
         baseline = promote_on_second_access()
         if self.PLACEMENT_SLOT not in kernel.functions:
             kernel.functions.register(self.PLACEMENT_SLOT, baseline)
@@ -71,7 +71,7 @@ class TieredMemory:
         self.accesses += 1
         now = self.kernel.engine.now
         hit = page in self._fast
-        latency = self.fast_latency_ns if hit else self.slow_latency_ns
+        latency = self.FAST_LATENCY_NS if hit else self.SLOW_LATENCY_NS
         if hit:
             self.fast_hits += 1
             self._fast.move_to_end(page)
@@ -86,7 +86,7 @@ class TieredMemory:
             }
             if policy(page, context):
                 self._promote(page)
-                latency += self.migration_cost_ns
+                latency += self.MIGRATION_COST_NS
         self._hits.observe(now, hit)
         self.kernel.store.save("mm.tier_hit_rate", self._hits.rate(now))
         self.kernel.metrics.record("mm.tier_access_ns", latency)

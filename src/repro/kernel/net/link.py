@@ -16,14 +16,19 @@ The ``net.cc_update`` hook fires every epoch.
 from repro.sim.units import MILLISECOND
 
 
-def aimd_controller(increase_mbps=2.0, decrease_factor=0.5, min_rate=1.0):
+#: AIMD's additive step and multiplicative backoff.
+AIMD_INCREASE_MBPS = 2.0
+AIMD_DECREASE_FACTOR = 0.5
+
+
+def aimd_controller(min_rate=1.0):
     """Additive-increase / multiplicative-decrease baseline."""
 
     def controller(observation):
         rate = observation["rate_mbps"]
         if observation["loss"] > 0.0:
-            return max(rate * decrease_factor, min_rate)
-        return rate + increase_mbps
+            return max(rate * AIMD_DECREASE_FACTOR, min_rate)
+        return rate + AIMD_INCREASE_MBPS
 
     return controller
 
@@ -31,16 +36,20 @@ def aimd_controller(increase_mbps=2.0, decrease_factor=0.5, min_rate=1.0):
 class BottleneckLink:
     CC_SLOT = "net.cc_update"
     BASELINE_NAME = "net.aimd"
+    #: The sender's rate before the first epoch.
+    INITIAL_RATE_MBPS = 10.0
+    #: Epochs averaged into ``net.utilization.avg``.
+    UTILIZATION_WINDOW = 32
+    #: One epoch: the path's round-trip time.
+    RTT = 20 * MILLISECOND
 
-    def __init__(self, kernel, capacity_mbps=100.0, rtt=20 * MILLISECOND,
-                 noise_std=0.0, initial_rate_mbps=10.0, utilization_window=32):
+    def __init__(self, kernel, capacity_mbps=100.0, noise_std=0.0):
         if capacity_mbps <= 0:
             raise ValueError("capacity must be positive")
         self.kernel = kernel
         self.capacity_mbps = capacity_mbps
-        self.rtt = rtt
         self.noise_std = noise_std
-        self.rate_mbps = initial_rate_mbps
+        self.rate_mbps = self.INITIAL_RATE_MBPS
         self._rng = kernel.engine.rng.get("net.noise")
         self.epoch = 0
         self.total_delivered = 0.0
@@ -51,7 +60,7 @@ class BottleneckLink:
             kernel.functions.register(self.CC_SLOT, baseline)
             kernel.functions.register_implementation(self.BASELINE_NAME, baseline)
         kernel.store.derive_moving_average("net.utilization",
-                                           window=utilization_window)
+                                           window=self.UTILIZATION_WINDOW)
         self._running = False
 
     def set_capacity(self, capacity_mbps):
@@ -65,7 +74,7 @@ class BottleneckLink:
         if self._running:
             raise RuntimeError("link is already running")
         self._running = True
-        self.kernel.engine.schedule(self.rtt, self._epoch)
+        self.kernel.engine.schedule(self.RTT, self._epoch)
         return self
 
     def _epoch(self):
@@ -86,7 +95,7 @@ class BottleneckLink:
             # sign-based AIMD fallback is robust where the model is not.
             "delivered_mbps": max(delivered * (1.0 + noise), 0.0),
             "loss": loss,
-            "rtt_ms": self.rtt / MILLISECOND,
+            "rtt_ms": self.RTT / MILLISECOND,
         }
         controller = self.kernel.functions.slot(self.CC_SLOT)
         next_rate = float(controller(observation))
@@ -101,4 +110,4 @@ class BottleneckLink:
                               loss=loss, utilization=utilization,
                               next_rate_mbps=next_rate)
         self.rate_mbps = next_rate
-        self.kernel.engine.schedule(self.rtt, self._epoch)
+        self.kernel.engine.schedule(self.RTT, self._epoch)

@@ -34,13 +34,14 @@ def cfs_pick():
 class SchedulerTaskController:
     """A4 DEPRIORITIZE target: renice or kill tasks by name.
 
-    Priorities map to nice values; a priority <= ``kill_below`` kills the
+    Priorities map to nice values; a priority <= ``KILL_BELOW`` kills the
     task (the OOM-killer analogy from the paper).
     """
 
-    def __init__(self, scheduler, kill_below=0):
+    KILL_BELOW = 0
+
+    def __init__(self, scheduler):
         self.scheduler = scheduler
-        self.kill_below = kill_below
         self.renice_count = 0
         self.kill_count = 0
 
@@ -49,7 +50,7 @@ class SchedulerTaskController:
             task = self.scheduler.find_task(name)
             if task is None or not task.alive:
                 continue
-            if priority <= self.kill_below:
+            if priority <= self.KILL_BELOW:
                 self.scheduler.kill(task)
                 self.kill_count += 1
             else:
@@ -60,11 +61,10 @@ class SchedulerTaskController:
 class CpuScheduler:
     PICK_SLOT = "sched.pick_next"
     BASELINE_NAME = "sched.cfs"
+    TIMESLICE = 4 * MILLISECOND
 
-    def __init__(self, kernel, timeslice=4 * MILLISECOND, metric_prefix="sched"):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.timeslice = timeslice
-        self.metric_prefix = metric_prefix
         self.tasks = []
         self._running = None
         self._idle = True
@@ -137,7 +137,7 @@ class CpuScheduler:
         )
         self._running = task
         self.context_switches += 1
-        run_ns = min(self.timeslice, task.remaining_burst_ns)
+        run_ns = min(self.TIMESLICE, task.remaining_burst_ns)
         self.kernel.engine.schedule(run_ns, self._tick, task, run_ns)
 
     def _tick(self, task, ran_ns):
@@ -147,9 +147,9 @@ class CpuScheduler:
             self.kernel.engine.schedule(0, self._dispatch)
             return
         finished = task.account_run(ran_ns)
-        self.kernel.metrics.record(self.metric_prefix + ".ran_ns", ran_ns)
+        self.kernel.metrics.record("sched.ran_ns", ran_ns)
         if finished:
-            self.kernel.metrics.increment(self.metric_prefix + ".finished")
+            self.kernel.metrics.increment("sched.finished")
         elif task.remaining_burst_ns <= 0:
             # Burst done: think, then become runnable again.
             task.remaining_burst_ns = task.burst_ns

@@ -31,22 +31,22 @@ class DeviceProfile:
     """Service-time regime of one device.
 
     ``fast_duration_ns`` / ``slow_duration_ns`` are the *mean* dwell times
-    of the hidden state (exponentially distributed).
+    of the hidden state (exponentially distributed).  Service times are
+    lognormal around each mode's median, the same in every regime.
     """
 
-    def __init__(self, name, fast_median_us=80.0, fast_sigma=0.25,
-                 slow_median_us=2000.0, slow_sigma=0.35,
-                 fast_duration_ns=300_000_000, slow_duration_ns=30_000_000,
-                 dwell_jitter=None):
+    FAST_MEDIAN_US = 80.0
+    FAST_SIGMA = 0.25
+    SLOW_MEDIAN_US = 2000.0
+    SLOW_SIGMA = 0.35
+
+    def __init__(self, name, fast_duration_ns=300_000_000,
+                 slow_duration_ns=30_000_000, dwell_jitter=None):
         if fast_duration_ns <= 0 or slow_duration_ns <= 0:
             raise ValueError("state durations must be positive")
         if dwell_jitter is not None and not 0.0 <= dwell_jitter < 1.0:
             raise ValueError("dwell_jitter must be in [0, 1)")
         self.name = name
-        self.fast_median_us = fast_median_us
-        self.fast_sigma = fast_sigma
-        self.slow_median_us = slow_median_us
-        self.slow_sigma = slow_sigma
         self.fast_duration_ns = fast_duration_ns
         self.slow_duration_ns = slow_duration_ns
         # None -> exponential dwell times (memoryless episodes);
@@ -83,13 +83,15 @@ FAST_STATE = "fast"
 class SsdDevice:
     """One replica: FIFO queue + hidden time-driven service process."""
 
+    #: A service slower than this counts as a slow completion.
+    SLOW_THRESHOLD_US = 500.0
+
     def __init__(self, engine, rng, name, profile=None, history_length=8,
-                 slow_threshold_us=500.0, history_ttl=50_000_000):
+                 history_ttl=50_000_000):
         self.engine = engine
         self.rng = rng
         self.name = name
         self.profile = profile if profile is not None else DeviceProfile.pre_drift()
-        self.slow_threshold_us = slow_threshold_us
         # History older than this (ns) is uninformative: a device nobody has
         # submitted to recently has likely finished its GC episode.  Without
         # the TTL, a policy steering away from slow-looking devices would
@@ -157,7 +159,7 @@ class SsdDevice:
         if not self.history or not self._history_fresh():
             return 0.0
         recent = list(self.history)[-window:]
-        return sum(1 for lat in recent if lat > self.slow_threshold_us) / len(recent)
+        return sum(1 for lat in recent if lat > self.SLOW_THRESHOLD_US) / len(recent)
 
     def last_latency_us(self):
         if not self.history or not self._history_fresh():
@@ -193,7 +195,7 @@ class SsdDevice:
         # latency features (this runs once per replica per submit).
         if not self.history or not self._history_fresh():
             return [0.0, 0.0, 0.0, self.time_since_slow()]
-        threshold = self.slow_threshold_us
+        threshold = self.SLOW_THRESHOLD_US
         slow = [latency > threshold for latency in self.history][-8:]
         recent = slow[-4:]
         return [sum(recent) / len(recent), sum(slow) / len(slow),
@@ -220,15 +222,15 @@ class SsdDevice:
 
     def _sample_service_us(self):
         if self._state == SLOW_STATE:
-            median, sigma = self.profile.slow_median_us, self.profile.slow_sigma
+            median, sigma = self.profile.SLOW_MEDIAN_US, self.profile.SLOW_SIGMA
         else:
-            median, sigma = self.profile.fast_median_us, self.profile.fast_sigma
+            median, sigma = self.profile.FAST_MEDIAN_US, self.profile.FAST_SIGMA
         return float(self.rng.lognormal(math.log(median), sigma))
 
     def _complete(self, request, on_complete, service_us):
         now = self.engine.now
         self.served_count += 1
-        if service_us > self.slow_threshold_us:
+        if service_us > self.SLOW_THRESHOLD_US:
             self.slow_served_count += 1
             self.last_slow_completion_time = now
         self.history.append(service_us)

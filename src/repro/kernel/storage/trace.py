@@ -16,8 +16,7 @@ class PoissonWorkload:
     just ``[(duration, rate)]``.
     """
 
-    def __init__(self, kernel, volume, phases, rng_name="workload",
-                 write_fraction=0.0):
+    def __init__(self, kernel, volume, phases):
         if not phases:
             raise ValueError("need at least one phase")
         for duration, rate in phases:
@@ -28,8 +27,7 @@ class PoissonWorkload:
         self.kernel = kernel
         self.volume = volume
         self.phases = list(phases)
-        self.write_fraction = write_fraction
-        self.rng = kernel.engine.rng.get(rng_name)
+        self.rng = kernel.engine.rng.get("workload")
         self.submitted = 0
         self._phase_index = 0
         self._phase_end = None
@@ -54,7 +52,10 @@ class PoissonWorkload:
                 self.done = True
                 return
             self._phase_end += self.phases[self._phase_index][0]
-        self.volume.submit(is_write=self.rng.random() < self.write_fraction)
+        # Nothing reads it, but this per-I/O draw (the "write coin") keeps
+        # the arrival stream, and so the fig2 contract, as recorded.
+        self.rng.random()
+        self.volume.submit()
         self.submitted += 1
         self._schedule_next()
 

@@ -22,19 +22,18 @@ while the feature store is quiet and writes them through otherwise.
 """
 
 from repro.kernel.storage.batch import CompletionIngest
+from repro.kernel.storage.ssd import SsdDevice
 from repro.sim.units import SECOND, ns_to_us
 
 
 class IoRequest:
-    __slots__ = ("io_id", "submit_time", "is_write", "size",
-                 "device_index", "used_model", "predicted_fast",
-                 "complete_time", "latency_us", "inference_us")
+    __slots__ = ("io_id", "submit_time", "device_index", "used_model",
+                 "predicted_fast", "complete_time", "latency_us",
+                 "inference_us")
 
-    def __init__(self, io_id, submit_time, is_write=False, size=4096):
+    def __init__(self, io_id, submit_time):
         self.io_id = io_id
         self.submit_time = submit_time
-        self.is_write = is_write
-        self.size = size
         self.device_index = None
         self.used_model = False
         self.predicted_fast = None
@@ -73,17 +72,18 @@ class ReplicatedVolume:
 
     PICK_SLOT = "storage.pick_device"
     FALLBACK_NAME = "storage.round_robin"
+    #: A completion whose service took longer is "slow" (a GC stall), by
+    #: the devices' own measure.
+    SLOW_THRESHOLD_US = SsdDevice.SLOW_THRESHOLD_US
+    #: Window of the derived ``false_submit_rate``.
+    FALSE_SUBMIT_WINDOW = 1 * SECOND
 
-    def __init__(self, kernel, devices, slow_threshold_us=500.0,
-                 false_submit_window=1 * SECOND, metric_prefix="storage"):
+    def __init__(self, kernel, devices):
         if not devices:
             raise ValueError("need at least one device")
         self.kernel = kernel
         self.devices = list(devices)
-        self.slow_threshold_us = slow_threshold_us
-        self.metric_prefix = metric_prefix
-        self.ingest = CompletionIngest(kernel.store, kernel.metrics,
-                                       metric_prefix)
+        self.ingest = CompletionIngest(kernel.store, kernel.metrics, "storage")
         self._io_counter = 0
         self.inflight = 0
         self.completed = 0
@@ -99,20 +99,21 @@ class ReplicatedVolume:
             kernel.functions.register_implementation(self.FALLBACK_NAME, fallback)
         if "false_submit_rate" not in kernel.store:
             kernel.store.derive_rate(
-                "false_submit", window=false_submit_window, name="false_submit_rate"
+                "false_submit", window=self.FALSE_SUBMIT_WINDOW,
+                name="false_submit_rate"
             )
 
-    def install_policy(self, name, policy, activate=True):
-        """Register a pick policy as a named implementation (A2 target)."""
+    def install_policy(self, name, policy):
+        """Register a pick policy as a named implementation (A2 target) and
+        make it the active one."""
         self.kernel.functions.register_implementation(name, policy)
-        if activate:
-            self.kernel.functions.replace(self.PICK_SLOT, name)
+        self.kernel.functions.replace(self.PICK_SLOT, name)
 
-    def submit(self, is_write=False, size=4096):
-        """Submit one I/O; replica choice goes through the policy slot."""
+    def submit(self):
+        """Submit one read; replica choice goes through the policy slot."""
         self._io_counter += 1
         kernel = self.kernel
-        request = IoRequest(self._io_counter, kernel.engine.now, is_write, size)
+        request = IoRequest(self._io_counter, kernel.engine.now)
         decision = kernel.functions.slot(self.PICK_SLOT)(self)
         index = request.device_index = decision.index
         used_model = request.used_model = decision.used_model
@@ -148,7 +149,7 @@ class ReplicatedVolume:
         # "Slow" is a property of the device's service (a GC stall), not of
         # queueing congestion — the model predicts device state, so both its
         # labels and false-submit accounting use the service component.
-        slow = service_us > self.slow_threshold_us
+        slow = service_us > self.SLOW_THRESHOLD_US
         used_model = request.used_model
         predicted_fast = request.predicted_fast
         false_submit = bool(used_model and predicted_fast and slow)

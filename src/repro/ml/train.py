@@ -4,13 +4,14 @@ import numpy as np
 
 
 class Adam:
-    """Adam optimizer (Kingma & Ba)."""
+    """Adam optimizer (Kingma & Ba), with the paper's default moments."""
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = {}
         self._v = {}
         self._t = {}
@@ -24,17 +25,20 @@ class Adam:
         v = self._v[index]
         self._t[index] += 1
         t = self._t[index]
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        m = self.BETA1 * m + (1 - self.BETA1) * grad
+        v = self.BETA2 * v + (1 - self.BETA2) * grad * grad
         self._m[index] = m
         self._v[index] = v
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / (1 - self.BETA1 ** t)
+        v_hat = v / (1 - self.BETA2 ** t)
+        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-def train_classifier(model, x, y, epochs=20, batch_size=64, optimizer=None,
-                     seed=0):
+#: Examples per gradient step of :func:`train_classifier`.
+BATCH_SIZE = 64
+
+
+def train_classifier(model, x, y, epochs=20, optimizer=None, seed=0):
     """Minibatch-train ``model``; returns per-epoch history."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
@@ -47,8 +51,8 @@ def train_classifier(model, x, y, epochs=20, batch_size=64, optimizer=None,
         order = rng.permutation(len(x))
         epoch_loss = 0.0
         batches = 0
-        for start in range(0, len(x), batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, len(x), BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
             loss, grad_w, grad_b = model.loss_and_gradients(x[batch], y[batch])
             model.apply_gradients(grad_w, grad_b, optimizer)
             epoch_loss += loss

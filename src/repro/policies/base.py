@@ -92,17 +92,19 @@ class SensitivityProbe:
     model whose decisions swing on measurement noise scores high.
     """
 
-    def __init__(self, store, prefix, predict, noise_scale=0.01,
-                 probe_every=16, seed=0, alpha=0.2):
+    #: Noise per feature, relative to ``|x| + 1``.
+    NOISE_SCALE = 0.01
+    #: Smoothing of the published delta EWMA.
+    ALPHA = 0.2
+
+    def __init__(self, store, prefix, predict, probe_every=16):
         self.store = store
         self.prefix = prefix
         self.predict = predict
-        self.noise_scale = noise_scale
         self.probe_every = probe_every
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
         self._count = 0
         self._ewma = None
-        self.alpha = alpha
         self.probe_count = 0
 
     def due(self):
@@ -117,13 +119,13 @@ class SensitivityProbe:
     def probe(self, features, output):
         """Perturb ``features``, re-run the model, publish the EWMA delta."""
         features = np.asarray(features, dtype=float)
-        scale = self.noise_scale * (np.abs(features) + 1.0)
+        scale = self.NOISE_SCALE * (np.abs(features) + 1.0)
         noisy = features + self._rng.normal(0.0, 1.0, size=features.shape) * scale
         perturbed = float(np.asarray(self.predict(noisy)).reshape(-1)[0])
         delta = abs(perturbed - float(output))
         self._ewma = (
             delta if self._ewma is None
-            else self.alpha * delta + (1 - self.alpha) * self._ewma
+            else self.ALPHA * delta + (1 - self.ALPHA) * self._ewma
         )
         self.probe_count += 1
         self.store.save(self.prefix + ".output_sensitivity", self._ewma)
@@ -139,7 +141,7 @@ class PolicyInstrumentation:
     """
 
     def __init__(self, store, name, references=None, predict=None,
-                 publish_every=512, probe_every=16, noise_scale=0.01, seed=0):
+                 publish_every=512, probe_every=16):
         self.name = name
         self.meter = InferenceMeter(store, name)
         self.inputs = None
@@ -149,10 +151,8 @@ class PolicyInstrumentation:
             )
         self.sensitivity = None
         if predict is not None:
-            self.sensitivity = SensitivityProbe(
-                store, name, predict, noise_scale=noise_scale,
-                probe_every=probe_every, seed=seed,
-            )
+            self.sensitivity = SensitivityProbe(store, name, predict,
+                                                probe_every=probe_every)
 
     def observe_inference(self, features, output=None, inference_ns=0):
         """Record one inference: inputs, cost, and (optionally) sensitivity."""

@@ -12,9 +12,11 @@ example names.
 class LearnedReusePolicy:
     """Evicts the key with the largest predicted next-access distance."""
 
-    def __init__(self, clock, alpha=0.3, default_gap=1_000_000_000):
+    #: Smoothing of the per-key gap EWMA.
+    ALPHA = 0.3
+
+    def __init__(self, clock, default_gap=1_000_000_000):
         self._clock = clock
-        self.alpha = alpha
         # Predicted gap for a key never seen twice: pessimistic, so one-hit
         # wonders get evicted first.
         self.default_gap = default_gap
@@ -31,7 +33,7 @@ class LearnedReusePolicy:
             previous = self._gap_ewma.get(key)
             self._gap_ewma[key] = (
                 gap if previous is None
-                else self.alpha * gap + (1 - self.alpha) * previous
+                else self.ALPHA * gap + (1 - self.ALPHA) * previous
             )
             self.observations += 1
         self._last_seen[key] = now
@@ -48,21 +50,23 @@ class LearnedReusePolicy:
         )
 
 
-def attach_learned_cache_policy(kernel, cache, name="cache.learned",
-                                activate=True):
-    """Install a :class:`LearnedReusePolicy` on ``cache``.
+#: Implementation name of the learned cache policy (a REPLACE source).
+POLICY_NAME = "cache.learned"
+
+
+def attach_learned_cache_policy(kernel, cache):
+    """Install a :class:`LearnedReusePolicy` on ``cache`` and activate it.
 
     Wires the online-training observation into the cache's access hook and
-    registers the policy as implementation ``name`` (the REPLACE target /
-    source).  Returns the policy.
+    registers the policy as implementation :data:`POLICY_NAME` (the REPLACE
+    target / source).  Returns the policy.
     """
     policy = LearnedReusePolicy(lambda: kernel.engine.now)
 
     def on_access(hook, now, payload):
         policy.observe(payload["key"])
 
-    cache.access_hook.attach(on_access, name=name + ".trainer")
-    kernel.functions.register_implementation(name, policy)
-    if activate:
-        kernel.functions.replace(cache.EVICT_SLOT, name)
+    cache.access_hook.attach(on_access, name=POLICY_NAME + ".trainer")
+    kernel.functions.register_implementation(POLICY_NAME, policy)
+    kernel.functions.replace(cache.EVICT_SLOT, POLICY_NAME)
     return policy

@@ -16,21 +16,27 @@ guardrails catch:
 
 import numpy as np
 
-from repro.kernel.net.link import aimd_controller
+from repro.kernel.net.link import BottleneckLink, aimd_controller
 from repro.ml.features import Normalizer
 from repro.ml.mlp import Mlp
 from repro.ml.train import Adam
 from repro.policies.base import PolicyInstrumentation
 
 NS_PER_MAC = 2
+#: The link capacity the teacher runs at, and so the model's training range.
+TRAIN_CAPACITY_MBPS = 100.0
+HIDDEN = (16,)
+#: Copies of each loss-epoch sample in the training set (see
+#: :func:`train_cc_model`).
+BACKOFF_OVERSAMPLE = 10
 
 
-def generate_teacher_trace(capacity_mbps=100.0, epochs=2000, seed=0,
-                           initial_rate=10.0):
+def generate_teacher_trace(epochs=2000):
     """Roll out AIMD on a clean link; returns (observations, rate deltas)."""
-    rng = np.random.default_rng(seed)
+    capacity_mbps = TRAIN_CAPACITY_MBPS
+    rng = np.random.default_rng(0)
     teacher = aimd_controller()
-    rate = initial_rate
+    rate = BottleneckLink.INITIAL_RATE_MBPS
     observations, deltas = [], []
     for _ in range(epochs):
         delivered = min(rate, capacity_mbps)
@@ -46,26 +52,25 @@ def generate_teacher_trace(capacity_mbps=100.0, epochs=2000, seed=0,
     return np.array(observations), np.array(deltas)
 
 
-def train_cc_model(observations, deltas, hidden=(16,), epochs=200, seed=0,
-                   backoff_oversample=10):
+def train_cc_model(observations, deltas, epochs=200):
     """Fit the imitation regressor; returns (mlp, normalizer).
 
     Loss events are rare in AIMD traces (a few percent of epochs), so a
     plain MSE fit underweights the backoff behavior that matters most;
-    ``backoff_oversample`` replicates loss-epoch samples to balance it.
+    :data:`BACKOFF_OVERSAMPLE` replicates loss-epoch samples to balance it.
     """
     observations = np.asarray(observations, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     loss_rows = observations[:, 2] > 0
-    if backoff_oversample > 1 and loss_rows.any():
-        extra = np.repeat(np.flatnonzero(loss_rows), backoff_oversample - 1)
+    if loss_rows.any():
+        extra = np.repeat(np.flatnonzero(loss_rows), BACKOFF_OVERSAMPLE - 1)
         observations = np.vstack([observations, observations[extra]])
         deltas = np.concatenate([deltas, deltas[extra]])
     normalizer = Normalizer().fit(observations)
     x = normalizer.transform(observations)
-    mlp = Mlp([observations.shape[1], *hidden, 1], head="linear", seed=seed)
+    mlp = Mlp([observations.shape[1], *HIDDEN, 1], head="linear", seed=0)
     optimizer = Adam(5e-3)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     y = deltas.reshape(-1, 1)
     for _ in range(epochs):
         order = rng.permutation(len(x))
@@ -79,15 +84,15 @@ def train_cc_model(observations, deltas, hidden=(16,), epochs=200, seed=0,
 class LearnedCcController:
     """``controller(observation) -> next rate`` backed by the imitation MLP."""
 
-    def __init__(self, kernel, mlp, normalizer, name="learned_cc",
-                 min_rate=1.0):
+    name = "learned_cc"
+
+    def __init__(self, kernel, mlp, normalizer, min_rate=1.0):
         self.kernel = kernel
         self.mlp = mlp
         self.normalizer = normalizer
-        self.name = name
         self.min_rate = min_rate
         self.instrumentation = PolicyInstrumentation(
-            kernel.store, name,
+            kernel.store, self.name,
             predict=lambda row: self._delta(np.atleast_2d(row)),
         )
         self.decisions = 0
@@ -111,13 +116,16 @@ class LearnedCcController:
         return max(observation["rate_mbps"] + delta, self.min_rate)
 
 
-def install_learned_cc(kernel, link, train_capacity=100.0, seed=0,
-                       name="net.learned_cc", activate=True):
-    """Train the imitation controller and install it on ``link``."""
-    observations, deltas = generate_teacher_trace(train_capacity, seed=seed)
-    mlp, normalizer = train_cc_model(observations, deltas, seed=seed)
-    controller = LearnedCcController(kernel, mlp, normalizer, name="learned_cc")
-    kernel.functions.register_implementation(name, controller)
-    if activate:
-        kernel.functions.replace(link.CC_SLOT, name)
+#: Implementation name of the learned controller.
+POLICY_NAME = "net.learned_cc"
+
+
+def install_learned_cc(kernel, link):
+    """Train the imitation controller and install it on ``link`` as the
+    active one."""
+    observations, deltas = generate_teacher_trace()
+    mlp, normalizer = train_cc_model(observations, deltas)
+    controller = LearnedCcController(kernel, mlp, normalizer)
+    kernel.functions.register_implementation(POLICY_NAME, controller)
+    kernel.functions.replace(link.CC_SLOT, POLICY_NAME)
     return controller

@@ -93,12 +93,15 @@ def collect_training_data(kernel, volume, workload_starter, duration):
     return features, labels
 
 
-def train_linnos_model(features, labels, hidden=(16, 16), epochs=30,
-                       seed=0):
+#: Hidden layer widths of the LinnOS light NN.
+HIDDEN = (16, 16)
+
+
+def train_linnos_model(features, labels, epochs=30, seed=0):
     """Fit the light NN on collected (features, labels)."""
     normalizer = Normalizer().fit(features)
     x = normalizer.transform(features)
-    mlp = Mlp([features.shape[1], *hidden, 1], head="sigmoid", seed=seed)
+    mlp = Mlp([features.shape[1], *HIDDEN, 1], head="sigmoid", seed=seed)
     train_classifier(mlp, x, labels, epochs=epochs, optimizer=Adam(1e-2),
                      seed=seed)
     return LinnosModel(mlp, normalizer)
@@ -163,31 +166,32 @@ class LinnosPolicy:
     Listing 2 guardrail disables it by saving ``ml_enabled = false``.
     """
 
-    def __init__(self, kernel, model, threshold=0.5, enable_key="ml_enabled",
-                 name="linnos", references=None, selection="argmin"):
+    name = "linnos"
+    #: A replica is predicted fast when its P(slow) is below this.
+    THRESHOLD = 0.5
+    #: The feature-store key Listing 2's action saves to turn the model off.
+    ENABLE_KEY = "ml_enabled"
+
+    def __init__(self, kernel, model, selection="argmin"):
         if selection not in ("argmin", "failover"):
             raise ValueError("selection must be 'argmin' or 'failover'")
         self.kernel = kernel
         self.model = model
-        self.threshold = threshold
-        self.enable_key = enable_key
-        self.name = name
         self.selection = selection
         self._fallback = round_robin_policy()
         self.instrumentation = PolicyInstrumentation(
-            kernel.store, name,
-            references=references,
+            kernel.store, self.name,
             predict=lambda row: self.model.slow_probabilities(
                 np.atleast_2d(row)
             ),
         )
         self.model_picks = 0
         self.fallback_picks = 0
-        if enable_key not in kernel.store:
-            kernel.store.save(enable_key, True)
+        if self.ENABLE_KEY not in kernel.store:
+            kernel.store.save(self.ENABLE_KEY, True)
 
     def __call__(self, volume):
-        if not self.kernel.store.load(self.enable_key, default=True):
+        if not self.kernel.store.load(self.ENABLE_KEY, default=True):
             self.fallback_picks += 1
             return self._fallback(volume)
 
@@ -211,12 +215,12 @@ class LinnosPolicy:
         predicted_fast = False
         if self.selection == "argmin":
             best = int(probabilities.argmin())
-            if probabilities[best] < self.threshold:
+            if probabilities[best] < self.THRESHOLD:
                 index = order[best]
                 predicted_fast = True
         else:
             for position, device_index in enumerate(order):
-                if probabilities[position] < self.threshold:
+                if probabilities[position] < self.THRESHOLD:
                     index = device_index
                     predicted_fast = True
                     break

@@ -22,10 +22,13 @@ class LearnedPlacementPolicy:
 
     MIGRATE = 1
     STAY = 0
+    EPSILON = 0.1
+    #: Reward charged to a promotion, so churn has to pay for itself.
+    MIGRATION_PENALTY = 0.3
 
-    def __init__(self, migration_penalty=0.3, epsilon=0.1, seed=0):
-        self.learner = QLearner(action_count=2, epsilon=epsilon, seed=seed)
-        self.migration_penalty = migration_penalty
+    def __init__(self, seed=0):
+        self.learner = QLearner(action_count=2, epsilon=self.EPSILON,
+                                seed=seed)
         self._access_counts = collections.Counter()
         self._pending = {}  # page -> (state, action, decision serial)
         self.decisions = 0
@@ -52,7 +55,7 @@ class LearnedPlacementPolicy:
         state, action, _ = pending
         reward = (1.0 if hit else 0.0)
         if action == self.MIGRATE:
-            reward -= self.migration_penalty
+            reward -= self.MIGRATION_PENALTY
         self.learner.update(state, action, reward)
 
     def on_access(self, page, hit, is_write, serial):
@@ -72,17 +75,20 @@ class LearnedPlacementPolicy:
         return action == self.MIGRATE
 
 
-def attach_learned_placement(kernel, tiered, name="mm.learned_placement",
-                             activate=True, seed=0):
-    """Install the Q-learning placement policy on ``tiered`` memory."""
+#: Implementation name of the learned placement policy.
+POLICY_NAME = "mm.learned_placement"
+
+
+def attach_learned_placement(kernel, tiered, seed=0):
+    """Install the Q-learning placement policy on ``tiered`` memory and
+    activate it."""
     policy = LearnedPlacementPolicy(seed=seed)
 
     def on_access(hook, now, payload):
         policy.on_access(payload["page"], payload["hit"], payload["is_write"],
                          payload["serial"])
 
-    tiered.access_hook.attach(on_access, name=name + ".trainer")
-    kernel.functions.register_implementation(name, policy)
-    if activate:
-        kernel.functions.replace(tiered.PLACEMENT_SLOT, name)
+    tiered.access_hook.attach(on_access, name=POLICY_NAME + ".trainer")
+    kernel.functions.register_implementation(POLICY_NAME, policy)
+    kernel.functions.replace(tiered.PLACEMENT_SLOT, POLICY_NAME)
     return policy

@@ -23,15 +23,17 @@ class FixedReadahead:
 
 
 class LearnedReadahead:
-    """EWMA of this stream's recent sequential run lengths."""
+    """EWMA of this stream's recent sequential run lengths, starting from
+    the fixed baseline's window."""
 
-    def __init__(self, alpha=0.4, initial=8.0, max_window=128):
-        self.alpha = alpha
-        self.estimate = initial
+    ALPHA = 0.4
+
+    def __init__(self, max_window=128):
+        self.estimate = 8.0
         self.max_window = max_window
 
     def observe_run(self, run_length):
-        self.estimate = self.alpha * run_length + (1 - self.alpha) * self.estimate
+        self.estimate = self.ALPHA * run_length + (1 - self.ALPHA) * self.estimate
 
     def predict_run(self, stream_state):
         return max(1, min(int(round(self.estimate)), self.max_window))
@@ -41,13 +43,14 @@ class ReadaheadSimulator:
     """Replays sequential runs; scores prefetch decisions.
 
     Cost model (in simulated microseconds): a miss (page not prefetched)
-    costs ``miss_us``; a wasted prefetched page costs ``waste_us``; a
+    costs :attr:`MISS_US`; a wasted prefetched page costs ``waste_us``; a
     prefetch decision itself costs ``decision_us`` (inference).
     """
 
-    def __init__(self, policy, miss_us=100.0, waste_us=5.0, decision_us=1.0):
+    MISS_US = 100.0
+
+    def __init__(self, policy, waste_us=5.0, decision_us=1.0):
         self.policy = policy
-        self.miss_us = miss_us
         self.waste_us = waste_us
         self.decision_us = decision_us
         self.misses = 0
@@ -68,7 +71,7 @@ class ReadaheadSimulator:
             self.prefetched_used += used
             self.prefetched_wasted += wasted
             self.misses += missed
-            self.total_cost_us += missed * self.miss_us + wasted * self.waste_us
+            self.total_cost_us += missed * self.MISS_US + wasted * self.waste_us
             if hasattr(self.policy, "observe_run"):
                 self.policy.observe_run(run_length)
         return self.total_cost_us

@@ -32,8 +32,8 @@ class BurstPredictor:
 class LearnedShortestJobPolicy:
     """``policy(scheduler) -> task`` picking the smallest predicted burst."""
 
-    def __init__(self, predictor=None):
-        self.predictor = predictor if predictor is not None else BurstPredictor()
+    def __init__(self):
+        self.predictor = BurstPredictor()
 
     def __call__(self, scheduler):
         runnable = scheduler.runnable_tasks()
@@ -48,9 +48,13 @@ class LearnedShortestJobPolicy:
         )
 
 
-def attach_learned_sched_policy(kernel, scheduler, name="sched.learned_sjf",
-                                activate=True):
-    """Install the learned picker and its online trainer on ``scheduler``."""
+#: Implementation name of the learned scheduling policy.
+POLICY_NAME = "sched.learned_sjf"
+
+
+def attach_learned_sched_policy(kernel, scheduler):
+    """Install the learned picker and its online trainer on ``scheduler``
+    and activate it."""
     policy = LearnedShortestJobPolicy()
 
     def on_dispatch(hook, now, payload):
@@ -60,8 +64,7 @@ def attach_learned_sched_policy(kernel, scheduler, name="sched.learned_sjf",
         if task is not None:
             policy.predictor.observe(task.name, task.burst_ns)
 
-    scheduler.pick_hook.attach(on_dispatch, name=name + ".trainer")
-    kernel.functions.register_implementation(name, policy)
-    if activate:
-        kernel.functions.replace(scheduler.PICK_SLOT, name)
+    scheduler.pick_hook.attach(on_dispatch, name=POLICY_NAME + ".trainer")
+    kernel.functions.register_implementation(POLICY_NAME, policy)
+    kernel.functions.replace(scheduler.PICK_SLOT, POLICY_NAME)
     return policy

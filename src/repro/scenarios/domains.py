@@ -121,14 +121,15 @@ guardrail zoo-cache-hit-rate {
 
 _CACHE_PERIOD = 2 * MILLISECOND
 _CACHE_LOOP_KEYS = 48
+_CACHE_CAPACITY = 64
 
 
 def attach_cache(kernel, workload="quiet", policy="learned",
-                 duration_ns=8 * SECOND, capacity=64):
+                 duration_ns=8 * SECOND):
     from repro.kernel.cache import KvCache
     from repro.policies.cachepol import attach_learned_cache_policy
 
-    cache = kernel.attach("cache", KvCache(kernel, capacity))
+    cache = kernel.attach("cache", KvCache(kernel, _CACHE_CAPACITY))
     if policy == "learned":
         attach_learned_cache_policy(kernel, cache)
     elif policy != "baseline":
@@ -178,14 +179,15 @@ guardrail zoo-mm-tier-hit-rate {
 _MM_PERIOD = 2 * MILLISECOND
 _MM_HOT_PAGES = 32
 _MM_COLD_PAGES = 4096
+_MM_FAST_CAPACITY = 64
 
 
 def attach_mm(kernel, workload="quiet", policy="learned",
-              duration_ns=8 * SECOND, fast_capacity=64):
+              duration_ns=8 * SECOND):
     from repro.kernel.mm import TieredMemory
     from repro.policies.placement import attach_learned_placement
 
-    tiered = kernel.attach("mm", TieredMemory(kernel, fast_capacity))
+    tiered = kernel.attach("mm", TieredMemory(kernel, _MM_FAST_CAPACITY))
     if policy == "learned":
         attach_learned_placement(kernel, tiered)
     elif policy != "baseline":
@@ -222,7 +224,11 @@ def attach_mm(kernel, workload="quiet", policy="learned",
 # net (congestion control on the bottleneck link)
 
 
-def stubborn_cc(rate_mbps=60.0):
+_NET_CAPACITY_MBPS = 100.0
+_STUBBORN_RATE_MBPS = 60.0
+
+
+def stubborn_cc():
     """The zoo's confidently-wrong learned controller: a fixed-rate model.
 
     It "predicts" the same sending rate every epoch regardless of the
@@ -232,7 +238,7 @@ def stubborn_cc(rate_mbps=60.0):
     """
 
     def controller(observation):
-        return rate_mbps
+        return _STUBBORN_RATE_MBPS
 
     return controller
 
@@ -251,11 +257,11 @@ STUBBORN_CC_NAME = "net.stubborn_cc"
 
 
 def attach_net(kernel, workload="quiet", policy="learned",
-               duration_ns=8 * SECOND, capacity_mbps=100.0):
+               duration_ns=8 * SECOND):
     from repro.kernel.net import BottleneckLink
 
-    link = kernel.attach("net", BottleneckLink(kernel,
-                                               capacity_mbps=capacity_mbps))
+    link = kernel.attach("net", BottleneckLink(
+        kernel, capacity_mbps=_NET_CAPACITY_MBPS))
     if policy == "learned":
         kernel.functions.register_implementation(STUBBORN_CC_NAME,
                                                  stubborn_cc())

@@ -116,7 +116,7 @@ class RetryDebtBridge:
     def controller(self, observation):
         """CC slot implementation: base rate plus backlog drain."""
         extra = self.backlog_mbit / self.DRAIN_HORIZON_S
-        epoch_s = self.link.rtt / SECOND
+        epoch_s = self.link.RTT / SECOND
         self.backlog_mbit = max(0.0, self.backlog_mbit - extra * epoch_s)
         return self.BASE_MBPS + extra
 

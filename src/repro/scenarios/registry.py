@@ -30,13 +30,12 @@ STRESS_WORKLOADS = {
 _ZOO_DOMAINS = ("storage", "cache", "mm", "net", "sched")
 
 
-def _zoo(name, domains, workloads, fault, seed, expected, description,
-         quick=True):
+def _zoo(name, domains, workloads, fault, seed, expected, description):
     return ScenarioSpec(
         name, domains, workloads, fault=fault, seed=seed,
         expected={GUARDRAIL_NAMES[domain]: verdict
                   for domain, verdict in zip(domains, expected)},
-        kind="zoo", description=description, quick=quick)
+        kind="zoo", description=description)
 
 
 def _build_registry():

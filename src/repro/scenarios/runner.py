@@ -28,7 +28,7 @@ def _run_named(name):
     return run_scenario(get_scenario(name))
 
 
-def run_scenarios(specs, jobs=1, timeout_s=300.0, progress=None):
+def run_scenarios(specs, jobs=1, timeout_s=300.0):
     """Run ``specs`` under the pool; returns the scenarios document.
 
     The document's ``scenarios`` list is sorted by name with purely
@@ -45,8 +45,7 @@ def run_scenarios(specs, jobs=1, timeout_s=300.0, progress=None):
     tasks = [PoolTask(spec.name, _run_named, (spec.name,),
                       cost=spec.duration_s)
              for spec in ordered]
-    outcomes = run_pool(tasks, jobs=jobs, timeout_s=timeout_s,
-                        progress=progress)
+    outcomes = run_pool(tasks, jobs=jobs, timeout_s=timeout_s)
 
     scenarios, errors, wall_times = [], [], {}
     for outcome in outcomes:

@@ -32,20 +32,18 @@ class ScenarioSpec:
     __slots__ = ("name", "kind", "domains", "workloads", "policies", "fault",
                  "seed", "duration_s", "expected", "description", "quick")
 
-    def __init__(self, name, domains, workloads, fault=FAULT_CLEAN,
-                 policies=None, seed=1, duration_s=8.0, expected=None,
-                 kind="zoo", description="", quick=True):
+    def __init__(self, name, domains, workloads, fault=FAULT_CLEAN, seed=1,
+                 duration_s=8.0, expected=None, kind="zoo", description="",
+                 quick=True):
         self.name = str(name)
         self.kind = str(kind)
         self.domains = tuple(domains)
         self.workloads = tuple(workloads)
-        self.policies = (tuple(policies) if policies is not None
-                         else ("learned",) * len(self.domains))
-        if not (len(self.domains) == len(self.workloads)
-                == len(self.policies)):
+        # Every registered scenario runs the learned policy in each domain.
+        self.policies = ("learned",) * len(self.domains)
+        if len(self.domains) != len(self.workloads):
             raise ValueError(
-                "scenario {!r}: domains/workloads/policies must align"
-                .format(name))
+                "scenario {!r}: domains/workloads must align".format(name))
         if fault not in (FAULT_CLEAN, FAULT_CORRUPT):
             raise ValueError("scenario {!r}: unknown fault {!r}"
                              .format(name, fault))

@@ -138,8 +138,7 @@ def _summary(run_id, kind, status, observer, store):
 
 
 def serve_rollout(store, hosts=8, stages="canary:1,25%,100%", seed=42,
-                  fault_hosts=0, quick=False, fault_kind="corrupt", jobs=1,
-                  max_rounds=None):
+                  fault_hosts=0, quick=False, jobs=1, max_rounds=None):
     """Run the canonical staged rollout *into a store*; returns a summary.
 
     Identical simulation to :func:`repro.fleet.scenario.run_fleet_rollout`
@@ -149,8 +148,7 @@ def serve_rollout(store, hosts=8, stages="canary:1,25%,100%", seed=42,
     without finalizing, leaving the run resumable.
     """
     built = build_fleet_rollout(hosts=hosts, stages=stages, seed=seed,
-                                fault_hosts=fault_hosts, quick=quick,
-                                fault_kind=fault_kind)
+                                fault_hosts=fault_hosts, quick=quick)
     run_id = store.begin_run(
         "rollout", built.scenario, SECOND, hosts,
         total_rounds=built.total_rounds, plan=built.plan.to_dict(),

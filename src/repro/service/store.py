@@ -456,14 +456,11 @@ class ResultsStore:
 
     # -- reads --------------------------------------------------------------
 
-    def round_rows(self, run_id, start_round=0, end_round=None):
-        """``rounds`` rows in ``[start_round, end_round)``, ascending."""
-        if end_round is None:
-            end_round = 1 << 62
+    def round_rows(self, run_id):
+        """Every ``rounds`` row of ``run_id``, ascending."""
         return self._db.execute(
-            "SELECT * FROM rounds WHERE run_id=? AND round_index>=? AND"
-            " round_index<? ORDER BY round_index",
-            (run_id, start_round, end_round)).fetchall()
+            "SELECT * FROM rounds WHERE run_id=? ORDER BY round_index",
+            (run_id,)).fetchall()
 
     def digest_rows(self, run_id, start_round=0, end_round=None):
         """Raw host-digest rows in range, ordered (round, host) ascending."""

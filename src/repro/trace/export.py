@@ -50,7 +50,11 @@ def read_jsonl(fp_or_path):
     return events
 
 
-def chrome_trace_dict(events, pid=1):
+#: The one process every record belongs to.
+PID = 1
+
+
+def chrome_trace_dict(events):
     """Events as a Chrome ``trace_event`` "JSON Object Format" dict.
 
     Categories map to synthetic thread ids (with ``thread_name`` metadata)
@@ -61,7 +65,7 @@ def chrome_trace_dict(events, pid=1):
     records = []
     for category in CATEGORIES:
         records.append({
-            "ph": "M", "name": "thread_name", "pid": pid,
+            "ph": "M", "name": "thread_name", "pid": PID,
             "tid": tids[category], "args": {"name": category},
         })
     for event in events:
@@ -69,7 +73,7 @@ def chrome_trace_dict(events, pid=1):
         if tid is None:  # unknown category: park it on its own lane
             tid = tids[event.category] = len(tids) + 1
             records.append({
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+                "ph": "M", "name": "thread_name", "pid": PID, "tid": tid,
                 "args": {"name": event.category},
             })
         args = {k: _jsonable(v) for k, v in (event.args or {}).items()}
@@ -78,7 +82,7 @@ def chrome_trace_dict(events, pid=1):
         record = {
             "name": event.name,
             "cat": event.category,
-            "pid": pid,
+            "pid": PID,
             "tid": tid,
             "ts": event.ts / 1000.0,
             "args": args,
@@ -93,5 +97,5 @@ def chrome_trace_dict(events, pid=1):
     return {"traceEvents": records, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(events, fp, pid=1):
-    json.dump(chrome_trace_dict(events, pid=pid), fp)
+def write_chrome_trace(events, fp):
+    json.dump(chrome_trace_dict(events), fp)

@@ -80,11 +80,11 @@ class Tracer:
     __slots__ = ("active", "capacity", "buffer", "seed", "_every", "_phase",
                  "_count", "_seq", "_grs")
 
-    def __init__(self, capacity=65536, seed=0):
+    def __init__(self, capacity=65536):
         self.active = False
         self.capacity = capacity
         self.buffer = RingBuffer(capacity)
-        self.seed = seed
+        self.seed = 0
         # sample rate per category: 0 = category disabled, N = 1-in-N.
         self._every = {c: 1 for c in CATEGORIES}
         self._phase = {c: 0 for c in CATEGORIES}
@@ -144,9 +144,8 @@ class Tracer:
             return True
         return (count + self._phase[category]) % every == 0
 
-    def emit(self, category, name, ts, dur=0, phase="i", guardrail=None,
-             args=None):
-        """Record one event, subject to category filter and sampling.
+    def emit(self, category, name, ts, guardrail=None, args=None):
+        """Record one instant event, subject to category filter and sampling.
 
         Returns the event, or ``None`` when filtered/sampled out.  Callers
         must gate on ``TRACER.active`` themselves — that keeps the disabled
@@ -154,9 +153,8 @@ class Tracer:
         """
         if not self._wants(category):
             return None
-        event = TraceEvent(category, name, ts, dur=dur, phase=phase,
-                           guardrail=guardrail, args=args,
-                           seq=next(self._seq))
+        event = TraceEvent(category, name, ts, guardrail=guardrail,
+                           args=args, seq=next(self._seq))
         self.buffer.append(event)
         return event
 

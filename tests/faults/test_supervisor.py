@@ -32,7 +32,7 @@ def test_breaker_trips_on_consecutive_failures_only():
 
 def test_breaker_half_open_probe_outcomes():
     config = BreakerConfig(crash_threshold=1, base_backoff_ns=100,
-                           backoff_factor=2.0, max_backoff_ns=350)
+                           max_backoff_ns=350)
     breaker = CircuitBreaker("b", config)
     breaker.record_failure(0)                 # trip; backoff 100
     breaker.rearm(100)

@@ -65,8 +65,7 @@ def test_spec_validates_domains():
 # -- multi-policy hosts and digest groups ---------------------------------
 
 def test_multi_domain_host_populates_groups():
-    spec = HostSpec(0, seed=7, domains=("storage", "cache", "sched"),
-                    workload="quiet")
+    spec = HostSpec(0, seed=7, domains=("storage", "cache", "sched"))
     digests = _run_fleet([spec], rounds=2)
     for digest in digests:
         assert set(digest.groups) == {"storage", "cache", "sched"}
@@ -89,8 +88,7 @@ def test_legacy_host_leaves_groups_empty():
 
 
 def test_groups_merge_exactly_across_rounds_and_hosts():
-    specs = [HostSpec(i, seed=30 + i, domains=("storage", "mm"),
-                      workload="quiet") for i in range(3)]
+    specs = [HostSpec(i, seed=30 + i, domains=("storage", "mm")) for i in range(3)]
     digests = _run_fleet(specs, rounds=3)
     fleet = FleetDigest()
     for digest in digests:
@@ -108,8 +106,7 @@ def test_groups_merge_exactly_across_rounds_and_hosts():
 
 
 def test_groups_survive_row_round_trip():
-    spec = HostSpec(0, seed=7, domains=("storage", "net"),
-                    workload="quiet")
+    spec = HostSpec(0, seed=7, domains=("storage", "net"))
     digest = _run_fleet([spec], rounds=1)[0]
     assert digest.groups
     restored = HostDigest.from_row(digest.to_row())
@@ -119,8 +116,7 @@ def test_groups_survive_row_round_trip():
 
 def test_multi_domain_digests_identical_across_jobs():
     def run(jobs):
-        specs = [HostSpec(i, seed=20 + i, domains=("storage", "cache"),
-                          workload="quiet") for i in range(4)]
+        specs = [HostSpec(i, seed=20 + i, domains=("storage", "cache")) for i in range(4)]
         return [json.dumps(d.to_row(), sort_keys=True)
                 for d in _run_fleet(specs, rounds=3, jobs=jobs)]
 
@@ -128,8 +124,7 @@ def test_multi_domain_digests_identical_across_jobs():
 
 
 def test_host_digest_merge_round_adds_groups():
-    spec = HostSpec(0, seed=7, domains=("storage", "cache"),
-                    workload="quiet")
+    spec = HostSpec(0, seed=7, domains=("storage", "cache"))
     first, second = _run_fleet([spec], rounds=2)
     merged = HostDigest.from_row(first.to_row())
     merged.merge_round(HostDigest.from_row(second.to_row()))
@@ -142,8 +137,7 @@ def test_host_digest_merge_round_adds_groups():
 def test_apply_retires_counters_into_the_right_group():
     """A guardrail version update on a multi-policy host keeps per-domain
     deltas exact across the monitor swap."""
-    spec = HostSpec(0, seed=7, domains=("storage", "cache"),
-                    workload="quiet")
+    spec = HostSpec(0, seed=7, domains=("storage", "cache"))
     host = SimulatedHost(spec, _version(), round_ns=1 * SECOND,
                          total_rounds=4)
     host.step(2 * SECOND)

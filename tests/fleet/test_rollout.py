@@ -160,8 +160,7 @@ def controller(runner, stages="canary:1,50%,100%", baseline_rounds=2):
     plan = RolloutPlan(parse_stages(stages, len(runner.host_ids),
                                     default_bake=2),
                        baseline_rounds=baseline_rounds,
-                       gate=GateConfig(max_violation_rate_delta=0.5),
-                       settle_rounds=1)
+                       gate=GateConfig(max_violation_rate_delta=0.5))
     return RolloutController(runner, V1, V2, plan, round_ns=1 * SECOND)
 
 

@@ -14,15 +14,13 @@ from repro.sim.units import SECOND
 
 pytestmark = pytest.mark.slow
 
-DRIFT_AT_S = 6
 DURATION_S = 30
 
 
 @pytest.fixture(scope="module")
 def closed_loop():
     model = train_default_linnos_model(seed=1, train_seconds=12)
-    return run_closed_loop_scenario(model, seed=2, drift_at_s=DRIFT_AT_S,
-                                    duration_s=DURATION_S)
+    return run_closed_loop_scenario(model, duration_s=DURATION_S)
 
 
 def test_guardrail_disables_then_retrains(closed_loop):

@@ -16,7 +16,7 @@ def test_needs_positive_capacity(kernel):
 
 
 def test_first_access_is_slow(kernel, tiered):
-    assert tiered.access("p1") == tiered.slow_latency_ns
+    assert tiered.access("p1") == tiered.SLOW_LATENCY_NS
     assert "p1" not in tiered._fast
 
 
@@ -24,13 +24,13 @@ def test_baseline_promotes_on_second_miss(kernel, tiered):
     tiered.access("p1")
     tiered.access("p1")  # second slow access -> promoted (with migration cost)
     assert "p1" in tiered._fast
-    assert tiered.access("p1") == tiered.fast_latency_ns
+    assert tiered.access("p1") == tiered.FAST_LATENCY_NS
 
 
 def test_migration_cost_charged(kernel, tiered):
     tiered.access("p1")
     second = tiered.access("p1")
-    assert second == tiered.slow_latency_ns + tiered.migration_cost_ns
+    assert second == tiered.SLOW_LATENCY_NS + tiered.MIGRATION_COST_NS
 
 
 def test_eviction_when_fast_tier_full(kernel, tiered):

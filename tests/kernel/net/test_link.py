@@ -9,7 +9,7 @@ from repro.sim.units import MILLISECOND, SECOND
 @pytest.fixture
 def link(kernel):
     return kernel.attach(
-        "net", BottleneckLink(kernel, capacity_mbps=100.0, rtt=20 * MILLISECOND)
+        "net", BottleneckLink(kernel, capacity_mbps=100.0)
     )
 
 
@@ -28,7 +28,7 @@ def test_aimd_converges_to_high_utilization(kernel, link):
 
 
 def test_aimd_halves_on_loss():
-    controller = aimd_controller(increase_mbps=2.0, decrease_factor=0.5)
+    controller = aimd_controller()
     assert controller({"rate_mbps": 100.0, "loss": 0.1}) == 50.0
     assert controller({"rate_mbps": 50.0, "loss": 0.0}) == 52.0
 
@@ -83,8 +83,7 @@ def test_epoch_hook_payload(kernel, link):
 
 
 def test_noise_applied_only_to_delivered(kernel):
-    link = BottleneckLink(kernel, capacity_mbps=100.0, noise_std=0.2,
-                          rtt=20 * MILLISECOND)
+    link = BottleneckLink(kernel, capacity_mbps=100.0, noise_std=0.2)
     observations = []
     kernel.functions.register_implementation(
         "net.spy", lambda obs: observations.append(obs) or obs["rate_mbps"])

@@ -17,8 +17,7 @@ from repro.sim.units import MILLISECOND, SECOND
 @pytest.fixture
 def link(kernel):
     return kernel.attach(
-        "net", BottleneckLink(kernel, capacity_mbps=100.0,
-                              rtt=20 * MILLISECOND))
+        "net", BottleneckLink(kernel, capacity_mbps=100.0))
 
 
 def _fixed(rate):
@@ -118,8 +117,7 @@ def test_noisy_link_is_seed_deterministic():
     def run(seed):
         kernel = Kernel(seed=seed)
         link = kernel.attach(
-            "net", BottleneckLink(kernel, capacity_mbps=100.0,
-                                  rtt=20 * MILLISECOND, noise_std=0.1))
+            "net", BottleneckLink(kernel, capacity_mbps=100.0, noise_std=0.1))
         observed = []
 
         def recording_controller(observation):

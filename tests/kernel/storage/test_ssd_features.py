@@ -26,7 +26,7 @@ def reference(device):
     return [
         device.recent_slow_fraction(4),
         device.recent_slow_fraction(8),
-        1.0 if device.last_latency_us() > device.slow_threshold_us else 0.0,
+        1.0 if device.last_latency_us() > device.SLOW_THRESHOLD_US else 0.0,
         device.time_since_slow(),
     ]
 
@@ -110,7 +110,7 @@ def test_seeded_completions_and_clock_advances(seed, history_length):
     rng = random.Random(seed)
     engine = Engine(seed=seed)
     device = make_device(engine, history_length=history_length,
-                         slow_threshold_us=THRESHOLD, history_ttl=TTL)
+                         history_ttl=TTL)
     slow_bias = rng.choice([0.05, 0.3, 0.8])
     for _ in range(400):
         roll = rng.random()

@@ -56,24 +56,6 @@ def test_workload_stops_after_phases(kernel):
     assert workload.submitted == total
 
 
-def test_write_fraction(kernel):
-    volume, _ = make(kernel)
-    writes = []
-    kernel.hooks.get("storage.submit_io").attach(lambda n, t, p: None)
-    original = volume.submit
-
-    def recording(is_write=False, size=4096):
-        writes.append(is_write)
-        return original(is_write, size)
-
-    volume.submit = recording
-    PoissonWorkload(kernel, volume, [(2 * SECOND, 500)],
-                    write_fraction=0.3).start()
-    kernel.run(until=2 * SECOND)
-    fraction = sum(writes) / len(writes)
-    assert fraction == pytest.approx(0.3, abs=0.07)
-
-
 def test_schedule_profile_change_applies_at_time(kernel):
     volume, devices = make(kernel)
     schedule_profile_change(kernel, devices, DeviceProfile.post_drift(),

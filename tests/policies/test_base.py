@@ -91,7 +91,7 @@ class TestSensitivityProbe:
         # A function with huge local slope.
         probe = SensitivityProbe(store, "pol",
                                  lambda x: 1000.0 * float(np.sum(x)),
-                                 probe_every=1, noise_scale=0.01)
+                                 probe_every=1)
         value = 1000.0 * 3.0
         for _ in range(10):
             probe.maybe_probe(np.array([1.0, 2.0]), value)

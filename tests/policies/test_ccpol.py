@@ -10,14 +10,13 @@ from repro.policies.ccpol import (
     install_learned_cc,
     train_cc_model,
 )
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 
 
 @pytest.fixture(scope="module")
 def trained():
-    observations, deltas = generate_teacher_trace(capacity_mbps=100.0,
-                                                  epochs=1500, seed=0)
-    mlp, normalizer = train_cc_model(observations, deltas, epochs=120, seed=0)
+    observations, deltas = generate_teacher_trace(epochs=1500)
+    mlp, normalizer = train_cc_model(observations, deltas, epochs=120)
     return observations, deltas, mlp, normalizer
 
 
@@ -62,8 +61,7 @@ def test_controller_respects_min_rate(kernel, trained):
 
 
 def test_good_utilization_at_training_capacity(kernel, trained):
-    link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0,
-                                               rtt=20 * MILLISECOND))
+    link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0))
     _, _, mlp, normalizer = trained
     controller = LearnedCcController(kernel, mlp, normalizer)
     kernel.functions.register_implementation("net.learned", controller)
@@ -76,8 +74,7 @@ def test_good_utilization_at_training_capacity(kernel, trained):
 
 
 def test_underutilizes_after_capacity_jump(kernel, trained):
-    link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0,
-                                               rtt=20 * MILLISECOND))
+    link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0))
     _, _, mlp, normalizer = trained
     controller = LearnedCcController(kernel, mlp, normalizer)
     kernel.functions.register_implementation("net.learned", controller)
@@ -94,13 +91,12 @@ def test_underutilizes_after_capacity_jump(kernel, trained):
 
 def test_install_helper_registers_and_activates(kernel):
     link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0))
-    controller = install_learned_cc(kernel, link, train_capacity=100.0)
+    controller = install_learned_cc(kernel, link)
     assert kernel.functions.slot("net.cc_update").current is controller
 
 
 def test_sensitivity_published_under_use(kernel, trained):
     link = kernel.attach("net", BottleneckLink(kernel, capacity_mbps=100.0,
-                                               rtt=20 * MILLISECOND,
                                                noise_std=0.05))
     _, _, mlp, normalizer = trained
     controller = LearnedCcController(kernel, mlp, normalizer)

@@ -61,7 +61,7 @@ def test_learns_to_promote_hot_pages(kernel):
 
 
 def test_migration_penalty_discourages_churn():
-    policy = LearnedPlacementPolicy(migration_penalty=2.0)
+    policy = LearnedPlacementPolicy()
     state = (1, False, 0)
     # Promotions that never pay off (reward 0, penalty 2) go negative...
     for _ in range(20):

@@ -16,7 +16,7 @@ def test_fixed_policy_constant():
 
 
 def test_learned_adapts_to_run_length():
-    policy = LearnedReadahead(alpha=0.5, initial=8.0)
+    policy = LearnedReadahead()
     for _ in range(10):
         policy.observe_run(64)
     assert policy.predict_run(None) == pytest.approx(64, abs=2)
@@ -37,8 +37,8 @@ def test_learned_never_below_one():
 
 
 def test_simulator_scores_exact_window():
-    sim = ReadaheadSimulator(FixedReadahead(window=10), miss_us=100,
-                             waste_us=5, decision_us=0)
+    sim = ReadaheadSimulator(FixedReadahead(window=10), waste_us=5,
+                             decision_us=0)
     sim.replay([10, 10])
     assert sim.misses == 0
     assert sim.prefetched_wasted == 0
@@ -46,8 +46,8 @@ def test_simulator_scores_exact_window():
 
 
 def test_simulator_charges_misses_and_waste():
-    sim = ReadaheadSimulator(FixedReadahead(window=10), miss_us=100,
-                             waste_us=5, decision_us=0)
+    sim = ReadaheadSimulator(FixedReadahead(window=10), waste_us=5,
+                             decision_us=0)
     sim.replay([15])   # 5 missed
     sim.replay([5])    # 5 wasted
     assert sim.misses == 5

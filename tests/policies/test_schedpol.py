@@ -75,7 +75,7 @@ def test_p6_guardrail_restores_liveness(kernel):
     sched.spawn("batch", burst_ns=50 * MILLISECOND)
     for i in range(4):
         sched.spawn("short{}".format(i), burst_ns=1 * MILLISECOND)
-    monitor = kernel.guardrails.load(fairness_liveness(max_wait_ms=100.0))
+    monitor = kernel.guardrails.load(fairness_liveness())
     kernel.run(until=5 * SECOND)
     assert monitor.violation_count >= 1
     stats = sched.wait_stats()

@@ -331,8 +331,13 @@ def shortest_queue_policy():
     so ``stall`` faults have a latency to inflate.
     """
     def pick(volume):
-        index = min(range(len(volume.devices)),
-                    key=lambda i: volume.devices[i].queue_depth)
+        # min(range(n), key=depth) in one pass: the first shallowest wins.
+        index = 0
+        shallowest = None
+        for i, device in enumerate(volume.devices):
+            depth = device.queue_depth
+            if shallowest is None or depth < shallowest:
+                index, shallowest = i, depth
         return PickDecision(index, used_model=True, predicted_fast=True,
                             inference_ns=STANDIN_INFERENCE_NS)
 

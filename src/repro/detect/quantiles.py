@@ -51,7 +51,8 @@ class P2Quantile:
     def update(self, value):
         """Add a sample; returns the current estimate (NaN until 5 samples)."""
         self.count += 1
-        if self._heights is None:
+        h = self._heights
+        if h is None:
             self._initial.append(float(value))
             if len(self._initial) == 5:
                 self._initial.sort()
@@ -62,30 +63,36 @@ class P2Quantile:
                 self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
             return self.value
 
-        h = self._heights
+        # k: the cell of the markers that ``value`` falls in.  This runs
+        # per completed I/O in every fleet digest, hence the unrolled form.
         if value < h[0]:
             h[0] = float(value)
             k = 0
         elif value >= h[4]:
             h[4] = float(value)
             k = 3
-        else:
+        elif value < h[1]:
             k = 0
-            for i in range(1, 4):
-                if value < h[i]:
-                    k = i - 1
-                    break
-            else:
-                k = 3
+        elif value < h[2]:
+            k = 1
+        elif value < h[3]:
+            k = 2
+        else:
+            k = 3
 
+        n = self._positions
         for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
+            n[i] += 1.0
+        desired = self._desired
+        increments = self._increments
+        desired[0] += increments[0]
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        desired[3] += increments[3]
+        desired[4] += increments[4]
 
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            n = self._positions
+        for i in (1, 2, 3):
+            d = desired[i] - n[i]
             if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
                 d = 1.0 if d > 0 else -1.0
                 candidate = self._parabolic(i, d)
@@ -94,7 +101,7 @@ class P2Quantile:
                 else:
                     h[i] = self._linear(i, d)
                 n[i] += d
-        return self.value
+        return h[2]  # self.value once the markers exist
 
     def _parabolic(self, i, d):
         h, n = self._heights, self._positions

@@ -164,8 +164,8 @@ class SimulatedHost:
                                     DeviceProfile.post_drift(),
                                     int(spec.drift_s * 1e9))
         self._digest = HostDigest(spec.host_id, 0, 0, self.version)
-        volume.complete_hook.attach(self._on_io_complete,
-                                    name="fleet.digest")
+        self._digest_probe = volume.complete_hook.attach(
+            self._on_io_complete, name="fleet.digest")
         self.workload = PoissonWorkload(
             kernel, volume, [(total_rounds * round_ns, spec.rate_ios)]
         ).start()
@@ -173,13 +173,10 @@ class SimulatedHost:
     # -- digest plumbing ---------------------------------------------------
 
     def _on_io_complete(self, _hook, now, payload):
-        if payload.get("used_model") and payload.get("predicted_fast") is not None:
-            predicted_fast = bool(payload["predicted_fast"])
-        else:
-            predicted_fast = False
-        self._digest.observe_io(now, payload["latency_us"],
-                                bool(payload.get("false_submit")),
-                                predicted_fast)
+        # The storage.io_complete payload always carries every key.
+        self._digest.observe_io(
+            now, payload["latency_us"], payload["false_submit"],
+            bool(payload["used_model"] and payload["predicted_fast"]))
 
     def _totals(self):
         """Per-domain cumulative guardrail counters, retirees included."""
@@ -193,6 +190,19 @@ class SimulatedHost:
             bucket["actions"] += monitor.action_dispatch_count
             bucket["inconclusive"] += monitor.inconclusive_count
         return totals
+
+    def close(self):
+        """Release what the host holds; it must not be stepped again.
+
+        Kernel, engine events and probes reference each other, so a
+        finished host is otherwise freed only by the cyclic collector's
+        next full pass — and until then it keeps every per-I/O metric
+        sample it recorded, most of its memory.
+        """
+        self._digest_probe.detach()
+        kernel = self.kernel
+        kernel.engine.clear()
+        kernel.metrics.clear()
 
     # -- control-plane surface ---------------------------------------------
 
@@ -298,7 +308,9 @@ class _InlineShard:
         return digests
 
     def close(self):
-        pass
+        for host in self.hosts:
+            host.close()
+        self.hosts = []
 
 
 class _ProcessShard:
@@ -342,7 +354,7 @@ class _ProcessShard:
                 break
             if time.monotonic() > deadline:
                 raise FleetError("fleet worker timed out after {:.0f}s"
-                                 .format(timeout_s))
+                                 .format(_WORKER_TIMEOUT_S))
         if status == "digests":
             return payload
         if status == "error":

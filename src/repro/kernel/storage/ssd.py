@@ -24,7 +24,7 @@ queueing; reported request latency = queue wait + service.
 import collections
 import math
 
-from repro.sim.units import us
+from repro.sim.units import MICROSECOND
 
 
 class DeviceProfile:
@@ -39,6 +39,9 @@ class DeviceProfile:
     FAST_SIGMA = 0.25
     SLOW_MEDIAN_US = 2000.0
     SLOW_SIGMA = 0.35
+    #: ``math.log`` of the medians: the lognormal's mean parameter.
+    FAST_LOG_MEDIAN = math.log(FAST_MEDIAN_US)
+    SLOW_LOG_MEDIAN = math.log(SLOW_MEDIAN_US)
 
     def __init__(self, name, fast_duration_ns=300_000_000,
                  slow_duration_ns=30_000_000, dwell_jitter=None):
@@ -97,8 +100,11 @@ class SsdDevice:
         # the TTL, a policy steering away from slow-looking devices would
         # freeze their history and starve them forever.
         self.history_ttl = history_ttl
-        self._queue = collections.deque()
-        self._busy = False
+        self._queue = collections.deque()  # waiting, not yet in service
+        #: Requests waiting or in service — visible to the submit path.  A
+        #: plain counter (the pick policy reads it per replica per submit);
+        #: nonzero exactly while the device is busy.
+        self.queue_depth = 0
         self._state = FAST_STATE
         self._state_event = None
         self.history = collections.deque(maxlen=history_length)  # service latencies (us)
@@ -139,11 +145,6 @@ class SsdDevice:
         self._schedule_transition()
 
     # -- observable features ---------------------------------------------------
-
-    @property
-    def queue_depth(self):
-        """Requests waiting or in service — visible to the submit path."""
-        return len(self._queue) + (1 if self._busy else 0)
 
     def _history_fresh(self):
         if self.last_completion_time is None:
@@ -206,26 +207,27 @@ class SsdDevice:
     def enqueue(self, request, on_complete):
         """Queue a request; ``on_complete(request, service_latency_us)`` fires
         when the device finishes it."""
-        self._queue.append((request, on_complete))
-        if not self._busy:
-            self._start_next()
+        self.queue_depth += 1
+        if self.queue_depth == 1:
+            self._start(request, on_complete)
+        else:
+            self._queue.append((request, on_complete))
 
-    def _start_next(self):
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        request, on_complete = self._queue.popleft()
+    def _start(self, request, on_complete):
         service_us = self._sample_service_us()
-        self.engine.schedule(us(service_us), self._complete, request, on_complete,
-                             service_us)
+        engine = self.engine
+        # engine.schedule(us(service_us), ...) without its two frames: the
+        # delay is a non-negative int by construction.
+        engine.schedule_at(engine.now + int(round(service_us * MICROSECOND)),
+                           self._complete, request, on_complete, service_us)
 
     def _sample_service_us(self):
+        profile = self.profile
         if self._state == SLOW_STATE:
-            median, sigma = self.profile.SLOW_MEDIAN_US, self.profile.SLOW_SIGMA
-        else:
-            median, sigma = self.profile.FAST_MEDIAN_US, self.profile.FAST_SIGMA
-        return float(self.rng.lognormal(math.log(median), sigma))
+            return float(self.rng.lognormal(profile.SLOW_LOG_MEDIAN,
+                                            profile.SLOW_SIGMA))
+        return float(self.rng.lognormal(profile.FAST_LOG_MEDIAN,
+                                        profile.FAST_SIGMA))
 
     def _complete(self, request, on_complete, service_us):
         now = self.engine.now
@@ -235,8 +237,15 @@ class SsdDevice:
             self.last_slow_completion_time = now
         self.history.append(service_us)
         self.last_completion_time = now
+        # Still counted during the callback: a submit from inside it queues
+        # behind what was already waiting.
         on_complete(request, service_us)
-        self._start_next()
+        queue = self._queue
+        if queue:
+            self.queue_depth -= 1
+            self._start(*queue.popleft())
+        else:
+            self.queue_depth = 0
 
     def __repr__(self):
         return "SsdDevice({!r}, depth={}, served={})".format(

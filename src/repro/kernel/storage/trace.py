@@ -45,8 +45,8 @@ class PoissonWorkload:
         self.kernel.engine.schedule(max(int(gap_s * SECOND), 1), self._issue)
 
     def _issue(self):
-        now = self.kernel.engine.now
-        while now >= self._phase_end:
+        engine = self.kernel.engine
+        while engine.now >= self._phase_end:
             self._phase_index += 1
             if self._phase_index >= len(self.phases):
                 self.done = True
@@ -54,10 +54,16 @@ class PoissonWorkload:
             self._phase_end += self.phases[self._phase_index][0]
         # Nothing reads it, but this per-I/O draw (the "write coin") keeps
         # the arrival stream, and so the fig2 contract, as recorded.
-        self.rng.random()
+        rng = self.rng
+        rng.random()
         self.volume.submit()
         self.submitted += 1
-        self._schedule_next()
+        # _schedule_next, inline: the next gap is drawn after the submit.
+        # ``or 1`` is max(gap, 1) for a gap that is never negative, and the
+        # delay is then a positive int, which schedule() would only check.
+        gap_s = rng.exponential(1.0 / self.phases[self._phase_index][1])
+        engine.schedule_at(engine.now + (int(gap_s * SECOND) or 1),
+                           self._issue)
 
 
 def schedule_profile_change(kernel, devices, profile, at_time):

@@ -23,7 +23,7 @@ while the feature store is quiet and writes them through otherwise.
 
 from repro.kernel.storage.batch import CompletionIngest
 from repro.kernel.storage.ssd import SsdDevice
-from repro.sim.units import SECOND, ns_to_us
+from repro.sim.units import MICROSECOND, SECOND
 
 
 class IoRequest:
@@ -97,6 +97,9 @@ class ReplicatedVolume:
         if self.PICK_SLOT not in kernel.functions:
             kernel.functions.register(self.PICK_SLOT, fallback)
             kernel.functions.register_implementation(self.FALLBACK_NAME, fallback)
+        # Bound once: REPLACE, the supervisor and the fault injector rebind
+        # the slot's ``current``, never the slot itself.
+        self._pick_slot = kernel.functions.slot(self.PICK_SLOT)
         if "false_submit_rate" not in kernel.store:
             kernel.store.derive_rate(
                 "false_submit", window=self.FALSE_SUBMIT_WINDOW,
@@ -112,9 +115,8 @@ class ReplicatedVolume:
     def submit(self):
         """Submit one read; replica choice goes through the policy slot."""
         self._io_counter += 1
-        kernel = self.kernel
-        request = IoRequest(self._io_counter, kernel.engine.now)
-        decision = kernel.functions.slot(self.PICK_SLOT)(self)
+        request = IoRequest(self._io_counter, self.kernel.engine.now)
+        decision = self._pick_slot.current(self)
         index = request.device_index = decision.index
         used_model = request.used_model = decision.used_model
         predicted_fast = request.predicted_fast = decision.predicted_fast
@@ -123,27 +125,30 @@ class ReplicatedVolume:
         # though the device never sees the wait).  Queue dynamics are left
         # untouched: the decision is still instantaneous in virtual time,
         # only the reported latency carries the charge.
-        request.inference_us = ns_to_us(decision.inference_ns or 0)
+        request.inference_us = (decision.inference_ns or 0) / MICROSECOND
         self.inflight += 1
         if used_model:
             self.model_submits += 1
         device = self.devices[index]
-        self.submit_hook.fire(
-            io_id=request.io_id,
-            device=index,
-            used_model=used_model,
-            predicted_fast=predicted_fast,
-            queue_depth=device.queue_depth,
-        )
+        hook = self.submit_hook
+        if hook._probes:
+            hook.fire(
+                io_id=request.io_id,
+                device=index,
+                used_model=used_model,
+                predicted_fast=predicted_fast,
+                queue_depth=device.queue_depth,
+            )
+        else:
+            hook.fire()  # counted and traced; no probe would read a payload
         device.enqueue(request, self._on_complete)
         return request
 
     def _on_complete(self, request, service_us):
-        kernel = self.kernel
-        now = kernel.engine.now
+        now = self.kernel.engine.now
         request.complete_time = now
         latency_us = request.latency_us = (
-            ns_to_us(now - request.submit_time) + request.inference_us)
+            (now - request.submit_time) / MICROSECOND + request.inference_us)
         self.inflight -= 1
         self.completed += 1
         # "Slow" is a property of the device's service (a GC stall), not of

@@ -78,17 +78,15 @@ class Engine:
     def __init__(self, seed=0):
         self._heap = []
         self._seq = 0
-        self._now = 0
+        #: Current virtual time in integer nanoseconds.  A plain attribute,
+        #: not a property: it is read several times per simulated I/O, and
+        #: only :meth:`run` may assign it.
+        self.now = 0
         self._running = False
         from repro.sim.rng import RngStreams
 
         self.rng = RngStreams(seed)
         self._pending = 0  # live (not cancelled, not fired) events
-
-    @property
-    def now(self):
-        """Current virtual time in integer nanoseconds."""
-        return self._now
 
     def _coerce_time(self, time):
         """Absolute time as an int ns, validated *after* coercion.
@@ -98,15 +96,17 @@ class Engine:
         """
         if type(time) is not int:
             time = math.ceil(time)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                "cannot schedule event at t={} before now={}".format(time, self._now)
+                "cannot schedule event at t={} before now={}".format(time, self.now)
             )
         return time
 
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        time = self._coerce_time(time)
+        # An int at or after now is already what _coerce_time would return.
+        if type(time) is not int or time < self.now:
+            time = self._coerce_time(time)
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
@@ -117,7 +117,7 @@ class Engine:
         """Schedule ``callback(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise SimulationError("negative delay: {}".format(delay))
-        return self.schedule_at(self._now + int(delay), callback, *args)
+        return self.schedule_at(self.now + int(delay), callback, *args)
 
     def reschedule(self, event, time):
         """Re-arm a fired event at a new absolute time, reusing the object.
@@ -141,6 +141,14 @@ class Engine:
         self._pending += 1
         return event
 
+    def clear(self):
+        """Cancel every pending event at once, for a simulation being torn
+        down.  The engine then holds none of the callbacks' objects."""
+        for entry in self._heap:
+            entry[2].cancelled = True
+        self._heap.clear()
+        self._pending = 0
+
     def run(self, until=None):
         """Run until the queue drains or ``until`` is reached.
 
@@ -156,14 +164,14 @@ class Engine:
             while True:
                 # (A cancelled head past ``until`` ends the run too.)
                 if not heap or (until is not None and heap[0][0] > until):
-                    if until is not None and self._now < until:
-                        self._now = int(until)
+                    if until is not None and self.now < until:
+                        self.now = int(until)
                     break
                 event = pop(heap)[2]
                 if event.cancelled:
                     continue
                 self._pending -= 1
-                self._now = event.time
+                self.now = event.time
                 event.fired = True
                 event.callback(*event.args)
         finally:

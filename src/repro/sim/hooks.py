@@ -73,6 +73,11 @@ class HookPoint:
         is handled by deferring list removal —
         detached probes are skipped via their ``_attached_to`` marker, same
         semantics as the old copy-then-check loop without the allocation.
+
+        With no probe attached nothing reads the payload (a trace event
+        records only the probe count), so a per-I/O call site whose payload
+        is costly to build may fire with none then
+        (``ReplicatedVolume.submit`` does).
         """
         self.fire_count += 1
         if TRACER.active:

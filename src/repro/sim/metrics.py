@@ -152,6 +152,11 @@ class MetricRecorder(DeferredFlush):
             self._series[name] = TimeSeries(name)
         return self._series[name]
 
+    def clear(self):
+        """Forget every series and counter (a run being torn down)."""
+        self._series.clear()
+        self._counters.clear()
+
     def snapshot(self):
         """Counters plus series summary stats, for reports and tests."""
         if self._flush is not None:

@@ -11,11 +11,6 @@ MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
 
 
-def ns_to_us(ns):
-    """Convert integer nanoseconds to float microseconds."""
-    return ns / MICROSECOND
-
-
 def us(value):
     """Microseconds (possibly fractional) to integer nanoseconds."""
     return int(round(value * MICROSECOND))

@@ -2,6 +2,7 @@
 percentile helper over a sorted sample."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -124,3 +125,58 @@ def test_percentile_interpolation_stays_inside_the_samples():
     assert _lerp(5e-324, 5e-324, 0.25) == 5e-324
     assert _lerp(-2.0, -1.0, 0.0) == -2.0
     assert _lerp(-2.0, -1.0, 1.0) == -1.0
+
+
+def _textbook_update(sketch, value):
+    """P² marker update written as plain loops (Jain & Chlamtac): the
+    reference ``P2Quantile.update``'s unrolled form must equal exactly."""
+    h, n = sketch._heights, sketch._positions
+    if value < h[0]:
+        h[0] = float(value)
+        k = 0
+    elif value >= h[4]:
+        h[4] = float(value)
+        k = 3
+    else:
+        k = 3
+        for i in range(1, 4):
+            if value < h[i]:
+                k = i - 1
+                break
+    for i in range(k + 1, 5):
+        n[i] += 1.0
+    for i in range(5):
+        sketch._desired[i] += sketch._increments[i]
+    for i in range(1, 4):
+        d = sketch._desired[i] - n[i]
+        if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                d <= -1.0 and n[i - 1] - n[i] < -1.0):
+            d = 1.0 if d > 0 else -1.0
+            candidate = sketch._parabolic(i, d)
+            if h[i - 1] < candidate < h[i + 1]:
+                h[i] = candidate
+            else:
+                h[i] = sketch._linear(i, d)
+            n[i] += d
+    sketch.count += 1
+
+
+@pytest.mark.parametrize("stream", ["lognormal", "ties", "sorted", "reversed"])
+def test_update_equals_the_textbook_marker_loop(stream):
+    rng = random.Random(17)
+    values = [rng.lognormvariate(4.4, 0.6) for _ in range(3000)]
+    if stream == "ties":
+        values = [float(round(v / 50.0)) for v in values]
+    elif stream == "sorted":
+        values.sort()
+    elif stream == "reversed":
+        values.sort(reverse=True)
+    fast, reference = P2Quantile(0.95), P2Quantile(0.95)
+    for value in values[:5]:
+        fast.update(value)
+        reference.update(value)
+    for value in values[5:]:
+        estimate = fast.update(value)
+        _textbook_update(reference, value)
+        assert estimate == reference.value
+    assert fast.to_json() == reference.to_json()

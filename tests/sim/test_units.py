@@ -10,7 +10,8 @@ def test_constants_ratios():
 
 
 def test_roundtrip_us():
-    assert units.ns_to_us(units.us(12.5)) == 12.5
+    # Back to microseconds the way the storage path converts: ns / 1000.
+    assert units.us(12.5) / units.MICROSECOND == 12.5
 
 
 def test_conversions_return_ints():

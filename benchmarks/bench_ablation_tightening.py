@@ -81,6 +81,12 @@ def run_tightening_ablation(report=None):
         metrics[prefix + "_delay_s"] = r["delay_s"]
         metrics[prefix + "_tighten_count"] = r["tighten_count"]
 
+    assert metrics["relaxed_violations"] == 0   # regression hides forever
+    assert metrics["tightened_violations"] >= 1
+    assert (metrics["tightened_delay_s"] is not None
+            and metrics["tightened_delay_s"] <= 3)
+    assert metrics["tightened_threshold_ms"] < 1.0  # converged near reality
+
     if report is not None:
         rows = [
             [name, round(r["threshold"], 3), r["tighten_count"],
@@ -98,15 +104,3 @@ def run_tightening_ablation(report=None):
 
 def scenarios():
     return [("ablation_tightening", run_tightening_ablation)]
-
-
-def test_tightening_ablation(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_tightening_ablation, kwargs={"report": report_sink},
-        rounds=1, iterations=1)
-
-    assert metrics["relaxed_violations"] == 0   # regression hides forever
-    assert metrics["tightened_violations"] >= 1
-    assert (metrics["tightened_delay_s"] is not None
-            and metrics["tightened_delay_s"] <= 3)
-    assert metrics["tightened_threshold_ms"] < 1.0  # converged near reality

@@ -64,6 +64,17 @@ def run_trigger_ablation(report=None):
     for key in ("checks", "delay_ms", "overhead_ns"):
         metrics["function_{}".format(key)] = results["FUNCTION (per call)"][key]
 
+    delays = [metrics["timer_{}ms_delay_ms".format(i)] for i in INTERVALS_MS]
+    overheads = [metrics["timer_{}ms_overhead_ns".format(i)]
+                 for i in INTERVALS_MS]
+    # Coarser timers: no more delay-optimal than finer ones; strictly less
+    # overhead.
+    assert all(a <= b for a, b in zip(delays, delays[1:]))
+    assert all(a >= b for a, b in zip(overheads, overheads[1:]))
+    # The FUNCTION trigger detects fastest but costs the most checks.
+    assert metrics["function_delay_ms"] <= delays[0]
+    assert metrics["function_checks"] > metrics["timer_10ms_checks"]
+
     if report is not None:
         rows = [
             [name, r["checks"], r["delay_ms"], r["overhead_ns"]]
@@ -80,20 +91,3 @@ def run_trigger_ablation(report=None):
 
 def scenarios():
     return [("ablation_trigger", run_trigger_ablation)]
-
-
-def test_trigger_ablation(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_trigger_ablation, kwargs={"report": report_sink},
-        rounds=1, iterations=1)
-
-    delays = [metrics["timer_{}ms_delay_ms".format(i)] for i in INTERVALS_MS]
-    overheads = [metrics["timer_{}ms_overhead_ns".format(i)]
-                 for i in INTERVALS_MS]
-    # Coarser timers: no more delay-optimal than finer ones; strictly less
-    # overhead.
-    assert all(a <= b for a, b in zip(delays, delays[1:]))
-    assert all(a >= b for a, b in zip(overheads, overheads[1:]))
-    # The FUNCTION trigger detects fastest but costs the most checks.
-    assert metrics["function_delay_ms"] <= delays[0]
-    assert metrics["function_checks"] > metrics["timer_10ms_checks"]

@@ -14,11 +14,10 @@ mining, envelope math, or gate health shows up as a baseline diff.
 import json
 import os
 import tempfile
-import time
 
 from repro.autopilot.loop import run_autopilot
 from repro.bench.report import format_table
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 from repro.service.store import ResultsStore
 
 HOSTS = 8
@@ -28,22 +27,14 @@ ITERATIONS = 4
 
 @scenario(cost=3.0, seed=SEED)
 def run_autopilot_loop(report=None):
-    workdir = tempfile.mkdtemp(prefix="bench_autopilot_")
-
-    clean_path = os.path.join(workdir, "clean.sqlite")
-    started = time.perf_counter()
-    with ResultsStore(clean_path) as store:
-        clean = run_autopilot(store, hosts=HOSTS, seed=SEED,
-                              iterations=ITERATIONS, quick=True)
-        clean_rows = store.proposal_rows()
-    clean_s = time.perf_counter() - started
-
-    corrupt_path = os.path.join(workdir, "corrupt.sqlite")
-    started = time.perf_counter()
-    with ResultsStore(corrupt_path) as store:
-        corrupt = run_autopilot(store, hosts=HOSTS, seed=SEED,
-                                iterations=2, quick=True, corrupt_at=0)
-    corrupt_s = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="bench_autopilot_") as workdir:
+        with ResultsStore(os.path.join(workdir, "clean.sqlite")) as store:
+            clean = run_autopilot(store, hosts=HOSTS, seed=SEED,
+                                  iterations=ITERATIONS, quick=True)
+            clean_rows = store.proposal_rows()
+        with ResultsStore(os.path.join(workdir, "corrupt.sqlite")) as store:
+            corrupt = run_autopilot(store, hosts=HOSTS, seed=SEED,
+                                    iterations=2, quick=True, corrupt_at=0)
 
     tripped = corrupt["iterations"][0]
     metrics = {
@@ -59,8 +50,20 @@ def run_autopilot_loop(report=None):
         "corrupt_threshold_after": tripped["threshold_after"],
         "corrupt_margin_after": tripped["margin_after"],
         "corrupt_next_action": corrupt["iterations"][1]["action"],
-        INFO_KEY: {"clean_wall_s": clean_s, "corrupt_wall_s": corrupt_s},
     }
+
+    # The clean loop converges below the hand-picked 0.2 without a single
+    # rollback; the corrupt canary trips the first gate and backs off.
+    assert metrics["clean_converged"]
+    assert metrics["clean_rolled_back"] == 0
+    assert metrics["clean_deployed"] >= 2
+    assert metrics["clean_final_threshold"] < 0.5
+    assert metrics["corrupt_action"] == "rolled_back"
+    assert metrics["corrupt_halt_stage"] == "canary"
+    # Backoff, not retry: the threshold held and the margin widened.
+    assert metrics["corrupt_threshold_after"] == 0.5
+    assert metrics["corrupt_margin_after"] > 1.5
+    assert metrics["corrupt_next_action"] == "cooldown"
 
     if report is not None:
         rows = []
@@ -91,23 +94,3 @@ def run_autopilot_loop(report=None):
 
 def scenarios():
     return [("autopilot_loop", run_autopilot_loop)]
-
-
-def test_autopilot_loop(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_autopilot_loop, kwargs={"report": report_sink}, rounds=1,
-        iterations=1)
-
-    # -- shape assertions --------------------------------------------------
-    # The clean loop converges below the hand-picked 0.2 without a single
-    # rollback; the corrupt canary trips the first gate and backs off.
-    assert metrics["clean_converged"]
-    assert metrics["clean_rolled_back"] == 0
-    assert metrics["clean_deployed"] >= 2
-    assert metrics["clean_final_threshold"] < 0.5
-    assert metrics["corrupt_action"] == "rolled_back"
-    assert metrics["corrupt_halt_stage"] == "canary"
-    # Backoff, not retry: the threshold held and the margin widened.
-    assert metrics["corrupt_threshold_after"] == 0.5
-    assert metrics["corrupt_margin_after"] > 1.5
-    assert metrics["corrupt_next_action"] == "cooldown"

@@ -12,10 +12,8 @@ Episodes run inline (not through ``run_eval``): bench scenarios already
 execute inside pool workers, which are daemonic and cannot nest a pool.
 """
 
-import time
-
 from repro.bench.report import format_table
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 from repro.eval.calibrate import calibrate
 from repro.eval.dataset import load_dataset
 from repro.eval.runner import DOCUMENT_SCHEMA, run_episode, select_episodes
@@ -39,11 +37,9 @@ def _group_rows(scores):
 # host-episode seed, declared so the seed-pinning contract holds.
 @scenario(cost=2.0, seed=11)
 def run_eval_quick(report=None):
-    started = time.perf_counter()
     header, episodes = load_dataset()
     results = [run_episode(episode)
                for episode in select_episodes(episodes, tier="quick")]
-    wall_s = time.perf_counter() - started
 
     scores = score_results(results)
     trip = scores["trip_detection"]
@@ -63,10 +59,19 @@ def run_eval_quick(report=None):
         "calibration_self_consistent": (
             calibration["verification"]["passed"]
             and not calibration["changed"]),
-        INFO_KEY: {"wall_s": wall_s},
     }
     for axis, cell in sorted(scores["fleet_axis_false_trips"].items()):
         metrics["axis_{}_false_trips".format(axis)] = cell["false_trips"]
+
+    # The smoke set must separate cleanly: every labelled verdict correct,
+    # no false or missed trips, and the committed gate defaults must be
+    # exactly what calibration reproduces from the recorded measurements.
+    assert metrics["accuracy"] == 1.0
+    assert metrics["false_trips"] == 0
+    assert metrics["missed_trips"] == 0
+    assert metrics["calibration_self_consistent"] is True
+    for axis in ("violation", "inconclusive", "p95"):
+        assert metrics["axis_{}_false_trips".format(axis)] == 0
 
     if report is not None:
         lines = [format_table(
@@ -83,20 +88,3 @@ def run_eval_quick(report=None):
 
 def scenarios():
     return [("eval_quick", run_eval_quick)]
-
-
-def test_eval_quick(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_eval_quick, kwargs={"report": report_sink}, rounds=1,
-        iterations=1)
-
-    # -- shape assertions --------------------------------------------------
-    # The smoke set must separate cleanly: every labelled verdict correct,
-    # no false or missed trips, and the committed gate defaults must be
-    # exactly what calibration reproduces from the recorded measurements.
-    assert metrics["accuracy"] == 1.0
-    assert metrics["false_trips"] == 0
-    assert metrics["missed_trips"] == 0
-    assert metrics["calibration_self_consistent"] is True
-    for axis in ("violation", "inconclusive", "p95"):
-        assert metrics["axis_{}_false_trips".format(axis)] == 0

@@ -51,6 +51,17 @@ def run_faults(report=None):
         "guardrail_inconclusive": faulted.monitor.inconclusive_count,
     }
 
+    # Containment, not survival-by-luck: faults were actually injected, the
+    # breaker tripped and came back, and the workload lost nothing.
+    assert metrics["injected_raise"] >= 3
+    assert metrics["injected_corrupt"] >= 1
+    assert metrics["contained_crashes"] == metrics["fallback_calls"]
+    assert metrics["replaces"] >= 1
+    assert metrics["breaker_final_state"] == "closed"
+    assert metrics["faulted_completed_ios"] == metrics["clean_completed_ios"]
+    assert 3_000_000 <= metrics["trip_time_us"] < 5_000_000
+    assert metrics["rearm_time_us"] == metrics["trip_time_us"] + 1_000_000
+
     if report is not None:
         rows = [["clean", clean.completed, 0, 0, 0],
                 ["faulted", faulted.completed,
@@ -69,20 +80,3 @@ def run_faults(report=None):
 
 def scenarios():
     return [("faults_containment", run_faults)]
-
-
-def test_faults_containment(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_faults, kwargs={"report": report_sink}, rounds=1, iterations=1)
-
-    # -- shape assertions --------------------------------------------------
-    # Containment, not survival-by-luck: faults were actually injected, the
-    # breaker tripped and came back, and the workload lost nothing.
-    assert metrics["injected_raise"] >= 3
-    assert metrics["injected_corrupt"] >= 1
-    assert metrics["contained_crashes"] == metrics["fallback_calls"]
-    assert metrics["replaces"] >= 1
-    assert metrics["breaker_final_state"] == "closed"
-    assert metrics["faulted_completed_ios"] == metrics["clean_completed_ios"]
-    assert 3_000_000 <= metrics["trip_time_us"] < 5_000_000
-    assert metrics["rearm_time_us"] == metrics["trip_time_us"] + 1_000_000

@@ -24,10 +24,9 @@ DURATION_S = 16
 
 
 @scenario(quick=False, cost=8.0, seed=2)
-def run_figure2(model=None, report=None):
+def run_figure2(report=None):
     """The full three-mode Figure 2 run; returns the summary-table metrics."""
-    if model is None:
-        model = train_default_linnos_model(seed=1, train_seconds=15)
+    model = train_default_linnos_model(seed=1, train_seconds=15)
     results = {
         mode: run_figure2_scenario(model, mode, seed=2,
                                    drift_at_s=DRIFT_AT_S,
@@ -47,6 +46,12 @@ def run_figure2(model=None, report=None):
             result.mean_between(DRIFT_AT_S + 2, DURATION_S), 3)
         metrics[mode + "_false_submits"] = result.false_submits
         metrics[mode + "_ml_enabled"] = result.ml_enabled
+
+    assert (metrics["linnos_pre_drift_us"]
+            < metrics["baseline_pre_drift_us"] * 0.7)
+    assert metrics["linnos_post_drift_us"] > metrics["baseline_post_drift_us"]
+    assert metrics["guarded_post_drift_us"] < metrics["linnos_post_drift_us"]
+    assert trigger_s is not None and DRIFT_AT_S < trigger_s <= DRIFT_AT_S + 3
 
     if report is not None:
         lines = []
@@ -79,16 +84,3 @@ def run_figure2(model=None, report=None):
 
 def scenarios():
     return [("fig2_linnos", run_figure2)]
-
-
-def test_figure2(linnos_model, benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_figure2, kwargs={"model": linnos_model, "report": report_sink},
-        rounds=1, iterations=1)
-
-    # -- shape assertions --------------------------------------------------
-    assert metrics["linnos_pre_drift_us"] < metrics["baseline_pre_drift_us"] * 0.7
-    assert metrics["linnos_post_drift_us"] > metrics["baseline_post_drift_us"]
-    assert metrics["guarded_post_drift_us"] < metrics["linnos_post_drift_us"]
-    trigger_s = metrics["trigger_s"]
-    assert trigger_s is not None and DRIFT_AT_S < trigger_s <= DRIFT_AT_S + 3

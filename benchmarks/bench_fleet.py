@@ -10,10 +10,8 @@ deterministic — the regression gate keys on the gate measurements
 themselves, so a drift in fleet health math shows up as a baseline diff.
 """
 
-import time
-
 from repro.bench.report import format_table
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 from repro.fleet.scenario import run_fleet_rollout
 
 HOSTS = 4
@@ -38,14 +36,9 @@ def _stage_rows(report):
 
 @scenario(cost=1.5, seed=SEED)
 def run_fleet(report=None):
-    started = time.perf_counter()
     clean = run_fleet_rollout(hosts=HOSTS, seed=SEED, quick=True)
-    clean_s = time.perf_counter() - started
-
-    started = time.perf_counter()
     faulted = run_fleet_rollout(hosts=HOSTS, seed=SEED, fault_hosts=1,
                                 quick=True)
-    faulted_s = time.perf_counter() - started
 
     canary_gate = faulted["stages"][0]["gate"]
     metrics = {
@@ -65,8 +58,20 @@ def run_fleet(report=None):
         "canary_violation_delta": round(
             canary_gate["measurements"]["violation_rate_delta"], 6),
         "baseline_completed_ios": clean["baseline"]["completed_ios"],
-        INFO_KEY: {"clean_wall_s": clean_s, "faulted_wall_s": faulted_s},
     }
+
+    # The clean fleet takes v2 everywhere; the corrupt canary halts the
+    # rollout at the first gate and rolls back exactly the canary cohort.
+    assert metrics["clean_status"] == "completed"
+    assert metrics["clean_gates_passed"] == metrics["clean_stages_run"]
+    assert metrics["clean_final_cohort"] == HOSTS
+    assert metrics["faulted_status"] == "rolled_back"
+    assert metrics["faulted_halt_stage"] == "canary"
+    assert metrics["faulted_stages_run"] == 1
+    assert metrics["faulted_rollback_hosts"] == 1
+    # The canary goes blind, not loud: NaN telemetry is inconclusive.
+    assert metrics["canary_inconclusive_delta"] > 0.5
+    assert metrics["canary_violation_delta"] <= 0.5
 
     if report is not None:
         lines = [format_table(
@@ -89,22 +94,3 @@ def run_fleet(report=None):
 
 def scenarios():
     return [("fleet_rollout", run_fleet)]
-
-
-def test_fleet_rollout(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_fleet, kwargs={"report": report_sink}, rounds=1, iterations=1)
-
-    # -- shape assertions --------------------------------------------------
-    # The clean fleet takes v2 everywhere; the corrupt canary halts the
-    # rollout at the first gate and rolls back exactly the canary cohort.
-    assert metrics["clean_status"] == "completed"
-    assert metrics["clean_gates_passed"] == metrics["clean_stages_run"]
-    assert metrics["clean_final_cohort"] == HOSTS
-    assert metrics["faulted_status"] == "rolled_back"
-    assert metrics["faulted_halt_stage"] == "canary"
-    assert metrics["faulted_stages_run"] == 1
-    assert metrics["faulted_rollback_hosts"] == 1
-    # The canary goes blind, not loud: NaN telemetry is inconclusive.
-    assert metrics["canary_inconclusive_delta"] > 0.5
-    assert metrics["canary_violation_delta"] <= 0.5

@@ -21,9 +21,8 @@ DURATION_S = 30
 
 
 @scenario(quick=False, cost=7.0, seed=2)
-def run_retrain_loop(model=None, report=None):
-    if model is None:
-        model = train_default_linnos_model(seed=1, train_seconds=15)
+def run_retrain_loop(report=None):
+    model = train_default_linnos_model(seed=1, train_seconds=15)
     result, daemon = run_closed_loop_scenario(model, duration_s=DURATION_S)
     late_disables = len([
         n for n in result.kernel.reporter.notes_for(kind="SAVE")
@@ -35,6 +34,12 @@ def run_retrain_loop(model=None, report=None):
         "recovered_us": round(result.mean_between(24, 30), 3),
         "late_disables": late_disables,
     }
+
+    assert metrics["retrains_completed"] >= 1
+    assert metrics["ml_enabled_at_end"] is True
+    assert metrics["recovered_us"] < metrics["fallback_phase_us"]
+    # The loop settled: no disables in the last 5 seconds.
+    assert metrics["late_disables"] == 0
 
     if report is not None:
         lines = [format_series("I/O latency, closed loop (per-second mean)",
@@ -65,16 +70,3 @@ def run_retrain_loop(model=None, report=None):
 
 def scenarios():
     return [("retrain_loop", run_retrain_loop)]
-
-
-def test_closed_retraining_loop(linnos_model, benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_retrain_loop, kwargs={"model": linnos_model,
-                                  "report": report_sink},
-        rounds=1, iterations=1)
-
-    assert metrics["retrains_completed"] >= 1
-    assert metrics["ml_enabled_at_end"] is True
-    assert metrics["recovered_us"] < metrics["fallback_phase_us"]
-    # The loop settled: no disables in the last 5 seconds.
-    assert metrics["late_disables"] == 0

@@ -13,10 +13,8 @@ Two lanes:
   the gated perf claim.
 """
 
-import time
-
 from repro.bench.report import format_table
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 from repro.scenarios import run_scenario, select_scenarios
 from repro.scenarios.feedback import run_feedback_study
 
@@ -26,9 +24,7 @@ DURATION_S = 40.0
 
 @scenario(cost=5.0, seed=SEED)
 def run_scenario_zoo(report=None):
-    started = time.perf_counter()
     results = [run_scenario(spec) for spec in select_scenarios(quick=True)]
-    wall_s = time.perf_counter() - started
 
     census = {"trip": 0, "inconclusive": 0, "allow": 0}
     for result in results:
@@ -39,8 +35,8 @@ def run_scenario_zoo(report=None):
         "verdict_trip": census["trip"],
         "verdict_inconclusive": census["inconclusive"],
         "verdict_allow": census["allow"],
-        INFO_KEY: {"wall_s": wall_s},
     }
+    assert metrics["scenarios_matched"] == metrics["scenarios_total"] >= 24
 
     if report is not None:
         rows = [[r["name"], r["overall"],
@@ -53,7 +49,6 @@ def run_scenario_zoo(report=None):
 
 @scenario(cost=4.0, seed=SEED)
 def run_feedback_lane(report=None):
-    started = time.perf_counter()
     timer = run_feedback_study("timer", seed=SEED, duration_s=DURATION_S)
     dependency = run_feedback_study("dependency", seed=SEED,
                                     duration_s=DURATION_S)
@@ -61,7 +56,6 @@ def run_feedback_lane(report=None):
                                     duration_s=DURATION_S, quiet=True)
     idle_dependency = run_feedback_study("dependency", seed=SEED,
                                          duration_s=DURATION_S, quiet=True)
-    wall_s = time.perf_counter() - started
 
     metrics = {
         # The oscillation signature (timer) and the damping (dependency).
@@ -80,8 +74,16 @@ def run_feedback_lane(report=None):
         "checks_dependency": idle_dependency["checks_total"],
         "idle_checks_eliminated": (idle_timer["idle_checks"]
                                    - idle_dependency["idle_checks"]),
-        INFO_KEY: {"wall_s": wall_s},
     }
+    # The §6 acceptance shape: timer oscillates, dependency damps, and the
+    # dependency mode performs measurably fewer (here: zero) idle checks.
+    assert metrics["timer_alternations"] >= 3
+    assert not metrics["timer_converged"]
+    assert metrics["dependency_converged"]
+    assert metrics["dependency_tail_trips"] == 0
+    assert metrics["idle_checks_dependency"] == 0
+    assert metrics["idle_checks_eliminated"] > 0
+    assert metrics["checks_dependency"] < metrics["checks_timer"]
 
     if report is not None:
         rows = [
@@ -105,25 +107,3 @@ def run_feedback_lane(report=None):
 def scenarios():
     return [("scenario_zoo", run_scenario_zoo),
             ("feedback_study", run_feedback_lane)]
-
-
-def test_scenario_zoo(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_scenario_zoo, kwargs={"report": report_sink}, rounds=1,
-        iterations=1)
-    assert metrics["scenarios_matched"] == metrics["scenarios_total"] >= 24
-
-
-def test_feedback_study(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_feedback_lane, kwargs={"report": report_sink}, rounds=1,
-        iterations=1)
-    # The §6 acceptance shape: timer oscillates, dependency damps, and the
-    # dependency mode performs measurably fewer (here: zero) idle checks.
-    assert metrics["timer_alternations"] >= 3
-    assert not metrics["timer_converged"]
-    assert metrics["dependency_converged"]
-    assert metrics["dependency_tail_trips"] == 0
-    assert metrics["idle_checks_dependency"] == 0
-    assert metrics["idle_checks_eliminated"] > 0
-    assert metrics["checks_dependency"] < metrics["checks_timer"]

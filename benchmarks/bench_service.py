@@ -12,10 +12,9 @@ raw tail stays capped at the horizon.
 import json
 import os
 import tempfile
-import time
 
 from repro.bench.report import format_table
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 from repro.fleet.scenario import run_fleet_rollout
 from repro.service.loop import serve_rollout, serve_soak
 from repro.service.query import latency_trend, merged_digest, regenerate_report
@@ -29,35 +28,25 @@ SOAK_RATE = 120
 
 @scenario(cost=1.5, seed=SEED)
 def run_service(report=None):
-    workdir = tempfile.mkdtemp(prefix="bench_service_")
-
-    started = time.perf_counter()
     live = run_fleet_rollout(hosts=HOSTS, seed=SEED, fault_hosts=1,
                              quick=True)
-    live_s = time.perf_counter() - started
-
-    store_path = os.path.join(workdir, "fleet.sqlite")
-    started = time.perf_counter()
-    with ResultsStore(store_path) as store:
-        summary = serve_rollout(store, hosts=HOSTS, seed=SEED, fault_hosts=1,
-                                quick=True)
-        regen = regenerate_report(store)
-    serve_s = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="bench_service_") as workdir:
+        with ResultsStore(os.path.join(workdir, "fleet.sqlite")) as store:
+            summary = serve_rollout(store, hosts=HOSTS, seed=SEED,
+                                    fault_hosts=1, quick=True)
+            regen = regenerate_report(store)
+        policy = RetentionPolicy(raw_rounds=4, bucket_rounds=4)
+        with ResultsStore(os.path.join(workdir, "soak.sqlite"),
+                          retention=policy) as store:
+            soak = serve_soak(store, hosts=HOSTS, seed=SEED,
+                              rate_ios=SOAK_RATE, rounds=SOAK_ROUNDS)
+            run_id = soak["run"]
+            raw_rounds = store.raw_round_indexes(run_id)
+            bucket_rows = store.bucket_rows(run_id)
+            folded, meta = merged_digest(store, run_id, 0, SOAK_ROUNDS)
+            trend = latency_trend(store, run_id)
     live_text = json.dumps(live, indent=2, sort_keys=True)
     regen_text = json.dumps(regen, indent=2, sort_keys=True)
-
-    soak_path = os.path.join(workdir, "soak.sqlite")
-    policy = RetentionPolicy(raw_rounds=4, bucket_rounds=4)
-    started = time.perf_counter()
-    with ResultsStore(soak_path, retention=policy) as store:
-        soak = serve_soak(store, hosts=HOSTS, seed=SEED, rate_ios=SOAK_RATE,
-                          rounds=SOAK_ROUNDS)
-        run_id = soak["run"]
-        raw_rounds = store.raw_round_indexes(run_id)
-        bucket_rows = store.bucket_rows(run_id)
-        folded, meta = merged_digest(store, run_id, 0, SOAK_ROUNDS)
-        trend = latency_trend(store, run_id)
-    soak_s = time.perf_counter() - started
 
     metrics = {
         "regen_byte_identical": regen_text == live_text,
@@ -72,14 +61,17 @@ def run_service(report=None):
         "folded_ios": folded.completed_ios,
         "folded_exact": not meta["approximate"],
         "trend_points": len(trend["points"]),
-        INFO_KEY: {
-            "live_wall_s": live_s,
-            "serve_wall_s": serve_s,
-            "soak_wall_s": soak_s,
-            "store_bytes": os.path.getsize(store_path),
-            "soak_store_bytes": os.path.getsize(soak_path),
-        },
     }
+
+    # The acceptance contract: store round-trip changes nothing.
+    assert metrics["regen_byte_identical"] is True
+    assert metrics["serve_status"] == "rolled_back"
+    assert metrics["digests_ingested"] == HOSTS * metrics["rounds_committed"]
+    # Retention bounds the raw tail at the horizon and loses no data.
+    assert metrics["soak_raw_tail_rounds"] == 4
+    assert metrics["soak_rows_deleted"] == HOSTS * (SOAK_ROUNDS - 4)
+    assert metrics["folded_host_rounds"] == HOSTS * SOAK_ROUNDS
+    assert metrics["folded_exact"] is True
 
     if report is not None:
         rows = [[p["rounds"][0], p["rounds"][1] - 1,
@@ -102,18 +94,3 @@ def run_service(report=None):
 
 def scenarios():
     return [("service_store", run_service)]
-
-
-def test_service_store(benchmark, report_sink):
-    metrics = benchmark.pedantic(
-        run_service, kwargs={"report": report_sink}, rounds=1, iterations=1)
-
-    # The acceptance contract: store round-trip changes nothing.
-    assert metrics["regen_byte_identical"] is True
-    assert metrics["serve_status"] == "rolled_back"
-    assert metrics["digests_ingested"] == HOSTS * metrics["rounds_committed"]
-    # Retention bounds the raw tail at the horizon and loses no data.
-    assert metrics["soak_raw_tail_rounds"] == 4
-    assert metrics["soak_rows_deleted"] == HOSTS * (SOAK_ROUNDS - 4)
-    assert metrics["folded_host_rounds"] == HOSTS * SOAK_ROUNDS
-    assert metrics["folded_exact"] is True

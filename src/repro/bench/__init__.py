@@ -1,27 +1,7 @@
 """Benchmark harness: experiment scenarios, paper-style rows, and the
 parallel ``grctl bench`` runner with its BENCH.json result format.
 
-Heavy submodules (``scenarios`` pulls in kernel + numpy) stay out of this
-namespace so ``repro.bench.results``/``runner`` import fast inside worker
-processes; import them explicitly where needed.
+The package namespace is empty on purpose: ``scenarios`` pulls in the
+kernel and numpy, and ``results``/``runner`` must import fast inside
+worker processes, so import each submodule explicitly where it is needed.
 """
-
-from repro.bench.report import format_series, format_table
-from repro.bench.results import SCHEMA_VERSION, scenario
-from repro.bench.scenarios import (
-    Fig2Result,
-    bucket_series,
-    run_figure2_scenario,
-    train_default_linnos_model,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "format_series",
-    "format_table",
-    "Fig2Result",
-    "bucket_series",
-    "run_figure2_scenario",
-    "scenario",
-    "train_default_linnos_model",
-]

@@ -7,13 +7,13 @@ Every ``benchmarks/bench_*.py`` module exposes::
     def scenarios() -> list[(scenario_id, fn)]
 
 where ``fn(report=None)`` runs one seed-pinned, deterministic experiment and
-returns a flat dict of metrics (numbers, strings, bools, None).  The
-reserved ``"_info"`` key may hold a dict of *non-deterministic* extras
-(wall-clock timings, host facts); everything else must be byte-identical
-across runs and across ``--jobs`` values, which is what makes the
-regression gate meaningful.  ``report``, when given, is a
-``(name, text) -> path`` sink for the human-readable artifact that
-historically went to ``benchmarks/out/``.
+returns a flat dict of metrics (numbers, strings, bools, None; any other
+value makes the scenario an ``error``).  Every metric must be
+byte-identical across runs and across ``--jobs`` values, which is what
+makes the regression gate meaningful; wall-clock cost is measured by the
+``benchmarks/perf`` spine, never here.  ``report``, when given, is a
+``(name, text) -> path`` sink for the human-readable table ``grctl bench``
+writes under ``benchmarks/out/``, which is deterministic too.
 
 The :func:`scenario` decorator attaches scheduling metadata (``quick``
 tier membership, relative ``cost`` for longest-first sharding, the pinned
@@ -40,7 +40,6 @@ File format (schema version 1)
           "seed": 2 | null,
           "wall_time_s": 5.1,   // excluded from gating/determinism
           "metrics": {...},     // deterministic, gated
-          "info": {...},        // non-deterministic, never gated
           "error": null | "traceback..."
         }, ...
       ]
@@ -55,9 +54,7 @@ SCHEMA_VERSION = 1
 
 #: scenario-result fields that may legitimately differ between two runs of
 #: the same tree (the determinism tests and the gate both ignore them).
-NONDETERMINISTIC_FIELDS = ("wall_time_s", "info", "attempts", "error")
-
-INFO_KEY = "_info"
+NONDETERMINISTIC_FIELDS = ("wall_time_s", "attempts", "error")
 
 
 def scenario(*, quick=True, cost=1.0, seed=None):
@@ -159,8 +156,8 @@ def compare_to_baseline(current, baseline, tolerance, selected_ids=None):
     *two-sided*: any gated metric drifting beyond ``tolerance`` (relative,
     against the baseline magnitude) fails, improvements included —
     improvements are ratified by refreshing the committed baseline, which
-    keeps it honest.  Non-numeric metrics must match exactly.  ``_info``
-    content and wall times are never gated.
+    keeps it honest.  Non-numeric metrics must match exactly.  Wall times
+    are never gated.
 
     ``selected_ids`` scopes the gate to a deliberately restricted run
     (``--quick``, ``--filter``): baseline scenarios outside the selection
@@ -194,8 +191,6 @@ def compare_to_baseline(current, baseline, tolerance, selected_ids=None):
         base_metrics = base.get("metrics") or {}
         run_metrics = run.get("metrics") or {}
         for name, base_value in sorted(base_metrics.items()):
-            if name == INFO_KEY:
-                continue
             if name not in run_metrics:
                 regressions.append(Regression(
                     sid, name, base_value, None, "metric missing"))

@@ -19,7 +19,7 @@ import pathlib
 import sys
 
 from repro.bench.pool import DEFAULT_TIMEOUT_S, PoolTask, run_pool
-from repro.bench.results import INFO_KEY, scenario
+from repro.bench.results import scenario
 
 
 class BenchLane:
@@ -111,7 +111,7 @@ def _make_report_sink(out_dir):
 
 
 def _run_lane(module_path, scenario_id, out_dir):
-    """Pool target: run one bench lane, return its metrics and info."""
+    """Pool target: run one bench lane, return its flat metric dict."""
     module = load_bench_module(module_path)
     fn = dict(module.scenarios())[scenario_id]
     metrics = fn(report=_make_report_sink(out_dir))
@@ -119,9 +119,12 @@ def _run_lane(module_path, scenario_id, out_dir):
         raise TypeError(
             "scenario {!r} returned {!r}, expected a metric dict".format(
                 scenario_id, type(metrics).__name__))
-    metrics = dict(metrics)
-    info = metrics.pop(INFO_KEY, None)
-    return {"metrics": metrics, "info": info}
+    for name, value in metrics.items():
+        if not isinstance(value, (int, float, str, type(None))):
+            raise TypeError(
+                "scenario {!r} metric {!r} is a {}, expected a scalar".format(
+                    scenario_id, name, type(value).__name__))
+    return {"metrics": metrics}
 
 
 def run_scenarios(specs, jobs=1, timeout_s=DEFAULT_TIMEOUT_S, out_dir=None,
@@ -151,7 +154,6 @@ def run_scenarios(specs, jobs=1, timeout_s=DEFAULT_TIMEOUT_S, out_dir=None,
             "status": outcome["status"],
             "wall_time_s": payload.get("wall_time_s"),
             "metrics": {},
-            "info": None,
             "error": None,
         }
         if outcome["status"] == "ok":

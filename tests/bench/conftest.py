@@ -19,7 +19,6 @@ GOOD_MODULES = {
                 "mean": round(sum(values) / len(values), 9),
                 "peak": round(max(values), 9),
                 "label": "alpha",
-                "_info": {"machine_noise": 123.456},
             }
 
         @scenario(quick=False, cost=5.0, seed=8)

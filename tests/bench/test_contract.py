@@ -1,12 +1,13 @@
 """The real benchmarks/ tree honors the scenarios() contract.
 
-Cheap structural checks only — actually *running* the scenarios is what
-``grctl bench`` and the bench pytest modules do.
+Cheap structural checks, plus one cheap lane run in-process — running the
+whole suite is what ``grctl bench`` does.
 """
 
 import pathlib
+import tempfile
 
-from repro.bench.runner import discover, select
+from repro.bench.runner import discover, load_bench_module, select
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -46,3 +47,20 @@ def test_real_tree_scenarios_are_seed_pinned():
     for spec in discover(BENCH_DIR):
         if spec.cost >= 0.2:
             assert spec.seed is not None, spec.id
+
+
+def test_real_tree_lanes_read_no_wall_clock():
+    # Lanes gate deterministic counters only; wall clock belongs to the
+    # benchmarks/perf spine, whose compare is noise-aware.
+    for path in sorted(BENCH_DIR.glob("bench_*.py")):
+        source = path.read_text()
+        for needle in ("perf_counter", "_info"):
+            assert needle not in source, (path.name, needle)
+
+
+def test_service_lane_leaves_no_temp_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    module = load_bench_module(BENCH_DIR / "bench_service.py")
+    metrics = dict(module.scenarios())["service_store"]()
+    assert metrics["regen_byte_identical"] is True
+    assert list(tmp_path.iterdir()) == []

@@ -23,7 +23,6 @@ def sres(sid, metrics, status="ok", **extra):
         "status": status,
         "wall_time_s": 0.5,
         "metrics": metrics,
-        "info": None,
         "error": None,
     }
     result.update(extra)
@@ -126,12 +125,6 @@ def test_nan_matches_nan_but_nothing_else():
     assert reg.detail == "NaN mismatch"
 
 
-def test_info_key_in_metrics_is_never_gated():
-    baseline = doc(sres("s", {"x": 1, "_info": {"host": "ci"}}))
-    current = doc(sres("s", {"x": 1, "_info": {"host": "laptop"}}))
-    assert gate(current, baseline, 0.0) == []
-
-
 def test_regression_render_is_greppable():
     baseline = doc(sres("s", {"lat": 100.0}))
     (reg,) = gate(doc(sres("s", {"lat": 150.0})), baseline, 0.15)
@@ -143,7 +136,7 @@ def test_regression_render_is_greppable():
 
 def test_deterministic_view_strips_run_noise():
     document = doc(sres("s", {"x": 1}, wall_time_s=9.9, attempts=2,
-                        error="retried once", info={"t_ms": 3}))
+                        error="retried once"))
     (view,) = deterministic_view(document)
     assert set(view) == {"id", "module", "seed", "status", "metrics"}
     assert view["metrics"] == {"x": 1}

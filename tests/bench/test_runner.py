@@ -81,17 +81,6 @@ def test_jobs_1_vs_jobs_4_byte_identical(bench_dir):
     assert view_a[0]["metrics"]
 
 
-def test_info_key_is_split_out_of_metrics(bench_dir):
-    results = run_scenarios(select(discover(bench_dir), quick=True), jobs=2)
-    by_id = {r["id"]: r for r in results}
-    mix = by_id["alpha_mix"]
-    assert "_info" not in mix["metrics"]
-    assert mix["info"] == {"machine_noise": 123.456}
-    assert by_id["beta_sum"]["info"] is None
-    assert by_id["beta_sum"]["metrics"] == {
-        "total": 4950, "flag": True, "hole": None}
-
-
 def test_report_sink_writes_artifacts(bench_dir, tmp_path):
     out_dir = tmp_path / "artifacts"
     run_scenarios(select(discover(bench_dir), quick=True), jobs=1,
@@ -191,6 +180,22 @@ def test_non_dict_return_is_error(tmp_path):
     (result,) = run_scenarios(discover(root), jobs=1)
     assert result["status"] == "error"
     assert "expected a metric dict" in result["error"]
+
+
+def test_nested_metric_value_is_error(tmp_path):
+    root = write_bench_dir(tmp_path / "benchmarks", {
+        "bench_nested.py": """
+            def run(report=None):
+                return {"flat": 1, "extras": {"wall_ms": 3.2}}
+
+            def scenarios():
+                return [("nested", run)]
+        """,
+    })
+    (result,) = run_scenarios(discover(root), jobs=1)
+    assert result["status"] == "error"
+    assert result["attempts"] == 1
+    assert "'extras' is a dict, expected a scalar" in result["error"]
 
 
 def test_one_bad_scenario_does_not_poison_the_rest(tmp_path):

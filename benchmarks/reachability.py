@@ -57,12 +57,12 @@ SRC = ROOT / "src" / "repro"
 
 #: Never-entered lines of ``src/repro`` under the full entry set.  Lower it
 #: when code goes; a change that raises it adds code no entry point runs.
-MAX_UNREACHED_LINES = 569
+MAX_UNREACHED_LINES = 561
 
 #: Defaulted ``src/repro`` parameters no entry point ever moves off their
 #: default.  Lower it when a knob becomes a constant; a change that raises
 #: it adds a knob no product run turns.
-MAX_UNTURNED_PARAMS = 158
+MAX_UNTURNED_PARAMS = 155
 
 
 # -- what exists --------------------------------------------------------------

@@ -99,7 +99,7 @@ class FeatureStore(DeferredFlush):
 
     MAX_SUBSCRIBER_ERRORS = 100
 
-    def __init__(self, clock=None, strict_notify=False):
+    def __init__(self, clock=None):
         self._clock = clock if clock is not None else (lambda: 0)
         self._values = {}
         self._derived = {}      # derived key name -> _DerivedKey
@@ -110,10 +110,6 @@ class FeatureStore(DeferredFlush):
         self._flush = None      # see DeferredFlush
         self.save_count = 0
         self.load_count = 0
-        # ``strict_notify=True`` restores the pre-containment behavior: a
-        # raising subscriber aborts notification (kept so regression tests
-        # can demonstrate the bug the containment fixes).
-        self.strict_notify = strict_notify
         self.subscriber_error_count = 0
         self.subscriber_errors = []  # bounded: most recent contained crashes
 
@@ -271,8 +267,6 @@ class FeatureStore(DeferredFlush):
                 # The value is already written; one crashing subscriber must
                 # not starve the remaining subscribers of the change.
                 # Contained per callback, counted, logged (bounded), traced.
-                if self.strict_notify:
-                    raise
                 self.subscriber_error_count += 1
                 if len(self.subscriber_errors) >= self.MAX_SUBSCRIBER_ERRORS:
                     self.subscriber_errors.pop(0)

@@ -39,20 +39,6 @@ def latency_histogram():
     return Histogram(LATENCY_LO_US, LATENCY_HI_US, LATENCY_BINS)
 
 
-def merge_groups(target, source):
-    """Fold per-domain counter groups into ``target``; exact addition.
-
-    Groups are ``{domain: {counter: int}}``; missing domains/counters read
-    as zero, so any two group dicts merge, whatever subset of domains each
-    host ran.  Returns ``target``.
-    """
-    for domain, counters in source.items():
-        bucket = target.setdefault(domain, {})
-        for key, value in counters.items():
-            bucket[key] = bucket.get(key, 0) + value
-    return target
-
-
 class HostDigest:
     """One host's state digest for one round.
 
@@ -60,18 +46,12 @@ class HostDigest:
     host's guardrail-manager totals; the sketches cover only the round's
     samples, so digests from different rounds merge without double
     counting.
-
-    ``groups`` breaks the guardrail counters down per policy domain on
-    multi-policy hosts (``{domain: {counter: int}}``, exact-additive under
-    every merge path).  Single-domain storage hosts leave it empty, which
-    keeps their serialized rows byte-identical to the pre-multi-policy
-    schema.
     """
 
     __slots__ = ("host_id", "round_index", "time_ns", "version",
                  "checks", "violations", "actions", "inconclusive",
                  "completed_ios", "false_submits", "model_submits",
-                 "latency", "latency_summary", "latency_tail", "groups")
+                 "latency", "latency_summary", "latency_tail")
 
     def __init__(self, host_id, round_index, time_ns, version):
         self.host_id = host_id
@@ -88,7 +68,6 @@ class HostDigest:
         self.latency = latency_histogram()
         self.latency_summary = SummaryDigest()
         self.latency_tail = P2Quantile(TAIL_Q)
-        self.groups = {}
 
     def observe_io(self, time_ns, latency_us, false_submit, predicted_fast):
         """Fold one completed I/O into the round's sketches.
@@ -107,7 +86,7 @@ class HostDigest:
 
     def to_dict(self):
         """JSON-friendly, deterministic summary (sketch *values*, not state)."""
-        summary = {
+        return {
             "host_id": self.host_id,
             "round": self.round_index,
             "time_s": self.time_ns / SECOND,
@@ -120,13 +99,8 @@ class HostDigest:
             "false_submits": self.false_submits,
             "model_submits": self.model_submits,
             "latency": self.latency_summary.to_dict(),
-            "latency_p95_us": _none_if_nan(self.latency.quantile(TAIL_Q)),
+            "latency_p95_us": none_if_nan(self.latency.quantile(TAIL_Q)),
         }
-        if self.groups:
-            summary["groups"] = {domain: dict(counters)
-                                 for domain, counters
-                                 in sorted(self.groups.items())}
-        return summary
 
     #: Flat counter columns shared by :meth:`to_row` and the results store.
     COUNTER_FIELDS = ("checks", "violations", "actions", "inconclusive",
@@ -146,7 +120,6 @@ class HostDigest:
                     other.host_id, self.host_id))
         for field in self.COUNTER_FIELDS:
             setattr(self, field, getattr(self, field) + getattr(other, field))
-        merge_groups(self.groups, other.groups)
         self.latency.merge(other.latency)
         self.latency_summary.merge(other.latency_summary)
         self.latency_tail.merge(other.latency_tail)
@@ -172,10 +145,6 @@ class HostDigest:
             "summary": self.latency_summary.to_json(),
             "tail": self.latency_tail.to_json(),
         }
-        if self.groups:
-            # Multi-policy hosts only: absent on legacy digests so their
-            # rows stay byte-identical to the pre-groups schema.
-            sketches["groups"] = self.groups
         row = {
             "host_id": self.host_id,
             "round_index": self.round_index,
@@ -208,7 +177,6 @@ class HostDigest:
         digest.latency = Histogram.from_json(sketches["latency"])
         digest.latency_summary = SummaryDigest.from_json(sketches["summary"])
         digest.latency_tail = P2Quantile.from_json(sketches["tail"])
-        digest.groups = sketches.get("groups", {})
         return digest
 
 
@@ -234,7 +202,6 @@ class FleetDigest:
         self.latency = latency_histogram()
         self.latency_summary = SummaryDigest()
         self.latency_tail = P2Quantile(TAIL_Q)
-        self.groups = {}
         self.last_time_ns = 0
 
     def merge_host(self, digest, rounds=1):
@@ -253,7 +220,6 @@ class FleetDigest:
         self.completed_ios += digest.completed_ios
         self.false_submits += digest.false_submits
         self.model_submits += digest.model_submits
-        merge_groups(self.groups, digest.groups)
         self.latency.merge(digest.latency)
         self.latency_summary.merge(digest.latency_summary)
         self.latency_tail.merge(digest.latency_tail)
@@ -276,7 +242,6 @@ class FleetDigest:
         self.completed_ios += other.completed_ios
         self.false_submits += other.false_submits
         self.model_submits += other.model_submits
-        merge_groups(self.groups, other.groups)
         self.latency.merge(other.latency)
         self.latency_summary.merge(other.latency_summary)
         self.latency_tail.merge(other.latency_tail)
@@ -320,7 +285,7 @@ class FleetDigest:
         return self.false_submits / self.model_submits
 
     def to_dict(self):
-        summary = {
+        return {
             "hosts": len(self.hosts),
             "host_rounds": self.host_rounds,
             "checks": self.checks,
@@ -334,17 +299,13 @@ class FleetDigest:
             "inconclusive_rate": self.inconclusive_rate(),
             "false_submit_fraction": self.false_submit_fraction(),
             "latency": self.latency_summary.to_dict(),
-            "latency_p95_us": _none_if_nan(self.p95_us()),
-            "latency_p95_p2_us": _none_if_nan(self.latency_tail.value),
+            "latency_p95_us": none_if_nan(self.p95_us()),
+            "latency_p95_p2_us": none_if_nan(self.latency_tail.value),
         }
-        if self.groups:
-            summary["groups"] = {domain: dict(counters)
-                                 for domain, counters
-                                 in sorted(self.groups.items())}
-        return summary
 
 
-def _none_if_nan(value):
+def none_if_nan(value):
+    """JSON-safe sketch readout: an empty sketch's NaN becomes ``None``."""
     if isinstance(value, float) and math.isnan(value):
         return None
     return value
@@ -358,5 +319,5 @@ __all__ = [
     "LATENCY_LO_US",
     "TAIL_Q",
     "latency_histogram",
-    "merge_groups",
+    "none_if_nan",
 ]

@@ -19,7 +19,7 @@ category when tracing is active.
 
 import math
 
-from repro.fleet.aggregate import FleetDigest
+from repro.fleet.aggregate import FleetDigest, none_if_nan
 from repro.trace.tracer import TRACER
 
 
@@ -202,8 +202,8 @@ class GateConfig:
             "baseline_inconclusive_rate": base_inconclusive,
             "inconclusive_rate": obs_inconclusive,
             "inconclusive_rate_delta": inconclusive_delta,
-            "baseline_p95_us": _none_if_nan(base_p95),
-            "p95_us": _none_if_nan(obs_p95),
+            "baseline_p95_us": none_if_nan(base_p95),
+            "p95_us": none_if_nan(obs_p95),
             "p95_ratio": p95_ratio,
             "checks": observed.checks,
         }
@@ -374,7 +374,7 @@ class RolloutController:
         self._notify_phase("baseline", "baseline", len(host_ids), 0)
         self._record("baseline.done",
                      violation_rate=baseline.violation_rate(),
-                     p95_us=_none_if_nan(baseline.p95_us()))
+                     p95_us=none_if_nan(baseline.p95_us()))
 
         status = "completed"
         rolled_back_at = None
@@ -441,12 +441,6 @@ class RolloutController:
             "stages": stage_reports,
             "timeline": list(self.timeline),
         }
-
-
-def _none_if_nan(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
 
 
 __all__ = [

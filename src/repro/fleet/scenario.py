@@ -134,6 +134,14 @@ class FleetScenario:
         self.total_rounds = total_rounds
         self.scenario = scenario
 
+    def run(self, jobs=1, observer=None):
+        """Step the fleet through the staged rollout; the controller report."""
+        with FleetRunner(self.specs, self.old_version, SECOND,
+                         self.total_rounds, jobs=jobs) as runner:
+            return RolloutController(
+                runner, self.old_version, self.new_version, self.plan,
+                SECOND, observer=observer).run()
+
 
 def build_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42,
                         fault_hosts=0, quick=False, fault_kind="corrupt",
@@ -190,12 +198,7 @@ def run_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42, jobs=1,
     built = build_fleet_rollout(hosts=hosts, stages=stages, seed=seed,
                                 fault_hosts=fault_hosts, quick=quick,
                                 fault_kind=fault_kind, gate=gate)
-    with FleetRunner(built.specs, built.old_version, SECOND,
-                     built.total_rounds, jobs=jobs) as runner:
-        controller = RolloutController(runner, built.old_version,
-                                       built.new_version, built.plan, SECOND,
-                                       observer=observer)
-        report = controller.run()
+    report = built.run(jobs=jobs, observer=observer)
     report["scenario"] = built.scenario
     return report
 

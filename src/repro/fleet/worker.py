@@ -35,11 +35,6 @@ class FleetError(Exception):
     """A fleet worker died or broke the step protocol."""
 
 
-#: Storage pick policies a host spec may name.  ``round_robin`` is the
-#: volume's registered default slot, so it installs nothing.
-STORAGE_POLICIES = ("storage.shortest_queue", "storage.round_robin")
-
-
 class HostSpec:
     """Deterministic recipe for one simulated host (picklable).
 
@@ -48,69 +43,35 @@ class HostSpec:
     profile, so the shortest-queue stand-in's "predict fast" mapping goes
     wrong and ``false_submit_rate`` spikes — a *behavioural* failure, as
     opposed to the telemetry failures ``fault_flags`` inject.
-
-    ``policy`` picks the storage replica-selection policy (one of
-    :data:`STORAGE_POLICIES`); ``domains`` lists the policy domains the
-    host composes (``"storage"`` always first — the digest's I/O sketches
-    ride on it); the extra domains run their ``quiet`` workload (see
-    :mod:`repro.scenarios.domains`).  The defaults reproduce the original
-    single-policy storage host exactly.
     """
 
     __slots__ = ("host_id", "seed", "rate_ios", "fault_flags", "fault_seed",
-                 "drift_s", "policy", "domains")
+                 "drift_s")
 
     def __init__(self, host_id, seed, rate_ios=400,
-                 fault_flags=(), fault_seed=0, drift_s=None,
-                 policy="storage.shortest_queue", domains=("storage",)):
+                 fault_flags=(), fault_seed=0, drift_s=None):
         self.host_id = int(host_id)
         self.seed = int(seed)
         self.rate_ios = int(rate_ios)
         self.fault_flags = tuple(fault_flags)
         self.fault_seed = int(fault_seed)
         self.drift_s = None if drift_s is None else float(drift_s)
-        self.policy = str(policy)
-        self.domains = tuple(domains)
-        if self.policy not in STORAGE_POLICIES:
-            raise ValueError(
-                "host {}: unknown storage policy {!r}; known: {}".format(
-                    self.host_id, self.policy, ", ".join(STORAGE_POLICIES)))
-        if not self.domains or self.domains[0] != "storage":
-            raise ValueError(
-                "host {}: domains must start with 'storage', got {!r}"
-                .format(self.host_id, self.domains))
-        if len(set(self.domains)) != len(self.domains):
-            raise ValueError("host {}: duplicate domains {!r}"
-                             .format(self.host_id, self.domains))
 
     def __repr__(self):
-        return "HostSpec(host{}, seed={}{}{}{})".format(
+        return "HostSpec(host{}, seed={}{}{})".format(
             self.host_id, self.seed,
             ", faulted" if self.fault_flags else "",
             ", drift@{:g}s".format(self.drift_s)
-            if self.drift_s is not None else "",
-            ", domains={}".format("+".join(self.domains))
-            if self.domains != ("storage",) else "")
-
-
-_COUNTER_KEYS = ("checks", "violations", "actions", "inconclusive")
-
-
-def _zero_counters():
-    return {key: 0 for key in _COUNTER_KEYS}
+            if self.drift_s is not None else "")
 
 
 class SimulatedHost:
-    """One host of the fleet: kernel + workload + versioned guardrail(s).
+    """One host of the fleet: kernel + workload + versioned guardrail.
 
-    The base workload is the ``grctl faults`` stand-in stack (replicated
-    SSD volume served through the spec's storage policy; shortest-queue
-    predicts "fast" on every submit) so the Listing-2 ``false_submit_rate``
-    signal exists on every host without per-host model training.  Hosts
-    with extra ``spec.domains`` compose more policy subsystems — cache,
-    tiered memory, congestion control, scheduling — on the same kernel via
-    :func:`repro.scenarios.domains.attach_domain`, each bringing its own
-    guardrail; their counters land in per-domain digest ``groups``.
+    The workload is the ``grctl faults`` stand-in stack (replicated SSD
+    volume served by ``storage.shortest_queue``, which predicts "fast" on
+    every submit) so the Listing-2 ``false_submit_rate`` signal exists on
+    every host without per-host model training.
     """
 
     def __init__(self, spec, initial_version, round_ns, total_rounds):
@@ -124,33 +85,17 @@ class SimulatedHost:
         kernel, devices, volume = build_storage_kernel(seed=spec.seed)
         self.kernel = kernel
         self.volume = volume
-        if spec.policy == "storage.shortest_queue":
-            volume.install_policy("storage.shortest_queue",
-                                  shortest_queue_policy())
-        # else storage.round_robin: the volume's default slot already
-        # serves round-robin, nothing to install.
+        volume.install_policy("storage.shortest_queue",
+                              shortest_queue_policy())
         self.version = initial_version.version
-        self._guardrail_name = initial_version.name
         kernel.guardrails.load(initial_version.text)
-        # Monitor -> domain, so guardrail counters can be grouped per
-        # policy domain on multi-policy hosts.
-        self._monitor_domains = {initial_version.name: "storage"}
-        self.rigs = []
-        for domain in spec.domains[1:]:
-            from repro.scenarios.domains import attach_domain
-
-            rig = attach_domain(kernel, domain,
-                                duration_ns=total_rounds * round_ns)
-            self.rigs.append(rig)
-            for monitor in rig.monitors:
-                self._monitor_domains[monitor.name] = domain
-        # Counter deltas must survive GuardrailManager.update(), which
-        # replaces the monitor (and zeroes its counts): retired monitors'
-        # totals accumulate here, per domain.
-        self._retired = {domain: _zero_counters()
-                         for domain in spec.domains}
-        self._last_totals = {domain: _zero_counters()
-                             for domain in spec.domains}
+        # Digests carry per-round deltas of the live monitors' cumulative
+        # counters.  GuardrailManager.update() replaces a monitor and zeroes
+        # its counts, so apply() subtracts the retiree's counts from these
+        # watermarks: what it counted since the last digest still lands in
+        # the next one.
+        self._reported_checks = self._reported_violations = 0
+        self._reported_actions = self._reported_inconclusive = 0
         if spec.fault_flags:
             plan = FaultPlan.from_flags(spec.fault_flags,
                                         seed=spec.fault_seed)
@@ -178,19 +123,6 @@ class SimulatedHost:
             now, payload["latency_us"], payload["false_submit"],
             bool(payload["used_model"] and payload["predicted_fast"]))
 
-    def _totals(self):
-        """Per-domain cumulative guardrail counters, retirees included."""
-        totals = {domain: dict(counters)
-                  for domain, counters in self._retired.items()}
-        for monitor in self.kernel.guardrails.monitors():
-            domain = self._monitor_domains.get(monitor.name, "storage")
-            bucket = totals.setdefault(domain, _zero_counters())
-            bucket["checks"] += monitor.check_count
-            bucket["violations"] += monitor.violation_count
-            bucket["actions"] += monitor.action_dispatch_count
-            bucket["inconclusive"] += monitor.inconclusive_count
-        return totals
-
     def close(self):
         """Release what the host holds; it must not be stepped again.
 
@@ -213,16 +145,13 @@ class SimulatedHost:
         manager = self.kernel.guardrails
         if version.name in manager:
             retiring = manager.get(version.name)
-            domain = self._monitor_domains.get(version.name, "storage")
-            retired = self._retired.setdefault(domain, _zero_counters())
-            retired["checks"] += retiring.check_count
-            retired["violations"] += retiring.violation_count
-            retired["actions"] += retiring.action_dispatch_count
-            retired["inconclusive"] += retiring.inconclusive_count
+            self._reported_checks -= retiring.check_count
+            self._reported_violations -= retiring.violation_count
+            self._reported_actions -= retiring.action_dispatch_count
+            self._reported_inconclusive -= retiring.inconclusive_count
             manager.update(version.text)
         else:
             manager.load(version.text)
-            self._monitor_domains.setdefault(version.name, "storage")
         self.version = version.version
 
     def step(self, until_ns):
@@ -234,19 +163,20 @@ class SimulatedHost:
         digest.round_index = round_index
         digest.time_ns = self.kernel.engine.now
         digest.version = self.version
-        totals = self._totals()
-        deltas = {
-            domain: {key: counters[key]
-                     - self._last_totals.get(domain, {}).get(key, 0)
-                     for key in _COUNTER_KEYS}
-            for domain, counters in totals.items()
-        }
-        for key in _COUNTER_KEYS:
-            setattr(digest, key,
-                    sum(group[key] for group in deltas.values()))
-        if self.spec.domains != ("storage",):
-            digest.groups = deltas
-        self._last_totals = totals
+        checks = violations = actions = inconclusive = 0
+        for monitor in self.kernel.guardrails.monitors():
+            checks += monitor.check_count
+            violations += monitor.violation_count
+            actions += monitor.action_dispatch_count
+            inconclusive += monitor.inconclusive_count
+        digest.checks = checks - self._reported_checks
+        digest.violations = violations - self._reported_violations
+        digest.actions = actions - self._reported_actions
+        digest.inconclusive = inconclusive - self._reported_inconclusive
+        self._reported_checks = checks
+        self._reported_violations = violations
+        self._reported_actions = actions
+        self._reported_inconclusive = inconclusive
         self._digest = HostDigest(self.spec.host_id, round_index + 1,
                                   0, self.version)
         return digest
@@ -436,6 +366,5 @@ __all__ = [
     "FleetError",
     "FleetRunner",
     "HostSpec",
-    "STORAGE_POLICIES",
     "SimulatedHost",
 ]

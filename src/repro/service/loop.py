@@ -18,8 +18,12 @@ round is ever duplicated or lost, and a resumed run's store is
 byte-identical to an uninterrupted one.
 """
 
-from repro.fleet.rollout import RolloutController, RolloutObserver
-from repro.fleet.scenario import build_fleet_rollout, make_fleet_specs
+from repro.fleet.rollout import RolloutObserver
+from repro.fleet.scenario import (
+    build_fleet_rollout,
+    fleet_versions,
+    make_fleet_specs,
+)
 from repro.fleet.worker import FleetRunner
 from repro.sim.units import SECOND
 from repro.service.store import StoreError
@@ -53,6 +57,7 @@ class StoreObserver(RolloutObserver):
         self.rounds_committed = 0
         self.digests_ingested = 0
         self.rows_deleted = 0
+        self.status = "running"
         self._seq = 0
         self._skip_seq_through = store.max_event_seq(run_id)
         self._events = []
@@ -106,6 +111,7 @@ class StoreObserver(RolloutObserver):
         self._gates = []
 
     def finalize(self, status, rolled_back_at=None, final_rounds=None):
+        self.status = status
         self.store.finalize_run(
             self.run_id, status, rolled_back_at=rolled_back_at,
             final_rounds=final_rounds, events=self._events,
@@ -117,7 +123,43 @@ class StoreObserver(RolloutObserver):
                         args={"run": self.run_id, "status": status})
 
 
-def _summary(run_id, kind, status, observer, store):
+def drive_rollout(observer, built, jobs):
+    """Run ``built``'s staged rollout, committing through ``observer``.
+
+    Returns the controller's report, or ``None`` when the observer's
+    ``max_rounds`` stopped the run before it finished (the run stays
+    ``running``, resumable).  :class:`StoreError` propagates.
+    """
+    try:
+        report = built.run(jobs=jobs, observer=observer)
+    except ServiceInterrupted:
+        return None
+    observer.finalize(report["status"],
+                      rolled_back_at=report["rolled_back_at_stage"],
+                      final_rounds=report["rounds"])
+    return report
+
+
+def drive_soak(observer, specs, version, rounds, jobs):
+    """Step ``specs`` on ``version`` for ``rounds`` rounds, no rollout.
+
+    Every round's digests are committed through ``observer`` as they
+    come; its ``status`` stays ``running`` when its ``max_rounds``
+    stopped the run early.  :class:`StoreError` propagates.
+    """
+    with FleetRunner(specs, version, SECOND, rounds, jobs=jobs) as runner:
+        for round_index in range(rounds):
+            until_ns = (round_index + 1) * SECOND
+            digests = runner.step_round(round_index, until_ns)
+            try:
+                observer.on_round(round_index, until_ns, digests)
+            except ServiceInterrupted:
+                return
+    observer.finalize("completed", final_rounds=rounds)
+
+
+def _summary(store, observer):
+    run_id = observer.run_id
     totals = {"completed_ios": 0, "violations": 0, "inconclusive": 0,
               "checks": 0}
     for row in store.round_rows(run_id):
@@ -126,8 +168,8 @@ def _summary(run_id, kind, status, observer, store):
     run = store.run(run_id)
     return {
         "run": run_id,
-        "kind": kind,
-        "status": status,
+        "kind": run["kind"],
+        "status": observer.status,
         "hosts": run["hosts"],
         "committed_round": run["committed_round"],
         "rounds_committed_now": observer.rounds_committed,
@@ -149,13 +191,17 @@ def serve_rollout(store, hosts=8, stages="canary:1,25%,100%", seed=42,
     """
     built = build_fleet_rollout(hosts=hosts, stages=stages, seed=seed,
                                 fault_hosts=fault_hosts, quick=quick)
-    run_id = store.begin_run(
-        "rollout", built.scenario, SECOND, hosts,
-        total_rounds=built.total_rounds, plan=built.plan.to_dict(),
-        versions={"old": built.old_version.to_dict(),
-                  "new": built.new_version.to_dict()})
-    return _drive_rollout(store, run_id, built, jobs=jobs,
-                          max_rounds=max_rounds, skip_through=-1)
+    try:
+        run_id = store.begin_run(
+            "rollout", built.scenario, SECOND, hosts,
+            total_rounds=built.total_rounds, plan=built.plan.to_dict(),
+            versions={"old": built.old_version.to_dict(),
+                      "new": built.new_version.to_dict()})
+        observer = StoreObserver(store, run_id, max_rounds=max_rounds)
+        drive_rollout(observer, built, jobs)
+        return _summary(store, observer)
+    except StoreError as exc:
+        raise ServiceError(str(exc))
 
 
 def serve_soak(store, hosts=8, seed=42, rate_ios=400, rounds=30, jobs=1,
@@ -170,10 +216,24 @@ def serve_soak(store, hosts=8, seed=42, rate_ios=400, rounds=30, jobs=1,
     """
     scenario = {"hosts": hosts, "seed": seed, "rate_ios": rate_ios,
                 "rounds": rounds}
-    run_id = store.begin_run("soak", scenario, SECOND, hosts,
-                             total_rounds=rounds)
-    return _drive_soak(store, run_id, scenario, jobs=jobs,
-                       max_rounds=max_rounds, skip_through=-1)
+    try:
+        run_id = store.begin_run("soak", scenario, SECOND, hosts,
+                                 total_rounds=rounds)
+        return _soak(store, run_id, scenario, jobs, max_rounds,
+                     skip_through=-1)
+    except StoreError as exc:
+        raise ServiceError(str(exc))
+
+
+def _soak(store, run_id, scenario, jobs, max_rounds, skip_through):
+    """The service soak of ``scenario``: every host on the v1 guardrail."""
+    specs = make_fleet_specs(scenario["hosts"], scenario["seed"],
+                             scenario["rate_ios"])
+    observer = StoreObserver(store, run_id, skip_through=skip_through,
+                             max_rounds=max_rounds)
+    drive_soak(observer, specs, fleet_versions()[0], scenario["rounds"],
+               jobs)
+    return _summary(store, observer)
 
 
 def resume(store, run_id=None, jobs=1, max_rounds=None):
@@ -183,94 +243,54 @@ def resume(store, run_id=None, jobs=1, max_rounds=None):
     deterministically; rounds at or below the checkpoint watermark are
     re-simulated (to rebuild host state) but not re-ingested.
     """
-    if run_id is None:
-        run_id = store.latest_run_id()
+    try:
         if run_id is None:
-            raise ServiceError("store {!r} has no runs".format(store.path))
-    run = store.run(run_id)
-    if run["status"] != "running":
-        raise ServiceError(
-            "run {} is {}; only interrupted (running) runs resume".format(
-                run_id, run["status"]))
-    if TRACER.active:
-        TRACER.emit("service", "checkpoint.resume",
-                    (run["committed_round"] + 1) * run["round_ns"],
-                    args={"run": run_id,
-                          "committed_round": run["committed_round"]})
-    watermark = run["committed_round"]
-    if run["kind"] == "rollout":
-        scenario = run["scenario"]
-        built = build_fleet_rollout(
-            hosts=scenario["hosts"], stages=scenario["stages"],
-            seed=scenario["seed"], fault_hosts=scenario["fault_hosts"],
-            # Stores written before fault kinds existed hold corrupt-fault
-            # runs, the only kind there was.
-            fault_kind=scenario.get("fault_kind", "corrupt"),
-            quick=scenario["quick"])
-        return _drive_rollout(store, run_id, built, jobs=jobs,
-                              max_rounds=max_rounds, skip_through=watermark)
-    if run["kind"] == "soak":
-        return _drive_soak(store, run_id, run["scenario"], jobs=jobs,
-                           max_rounds=max_rounds, skip_through=watermark)
-    if run["kind"].startswith("autopilot."):
-        raise ServiceError(
-            "run {} is an {} run; autopilot runs replay as a whole — "
-            "rerun `grctl autopilot` instead of resuming".format(
-                run_id, run["kind"]))
-    raise ServiceError("run {} has unknown kind {!r}".format(
-        run_id, run["kind"]))
-
-
-def _drive_rollout(store, run_id, built, jobs, max_rounds, skip_through):
-    observer = StoreObserver(store, run_id, skip_through=skip_through,
-                             max_rounds=max_rounds)
-    try:
-        with FleetRunner(built.specs, built.old_version, SECOND,
-                         built.total_rounds, jobs=jobs) as runner:
-            controller = RolloutController(
-                runner, built.old_version, built.new_version, built.plan,
-                SECOND, observer=observer)
-            try:
-                report = controller.run()
-            except ServiceInterrupted:
-                return _summary(run_id, "rollout", "running", observer, store)
+            run_id = store.latest_run_id()
+            if run_id is None:
+                raise ServiceError("store {!r} has no runs".format(store.path))
+        run = store.run(run_id)
+        if run["status"] != "running":
+            raise ServiceError(
+                "run {} is {}; only interrupted (running) runs resume".format(
+                    run_id, run["status"]))
+        if TRACER.active:
+            TRACER.emit("service", "checkpoint.resume",
+                        (run["committed_round"] + 1) * run["round_ns"],
+                        args={"run": run_id,
+                              "committed_round": run["committed_round"]})
+        watermark = run["committed_round"]
+        if run["kind"] == "rollout":
+            scenario = run["scenario"]
+            built = build_fleet_rollout(
+                hosts=scenario["hosts"], stages=scenario["stages"],
+                seed=scenario["seed"], fault_hosts=scenario["fault_hosts"],
+                # Stores written before fault kinds existed hold corrupt-fault
+                # runs, the only kind there was.
+                fault_kind=scenario.get("fault_kind", "corrupt"),
+                quick=scenario["quick"])
+            observer = StoreObserver(store, run_id, skip_through=watermark,
+                                     max_rounds=max_rounds)
+            drive_rollout(observer, built, jobs)
+            return _summary(store, observer)
+        if run["kind"] == "soak":
+            return _soak(store, run_id, run["scenario"], jobs, max_rounds,
+                         skip_through=watermark)
+        if run["kind"].startswith("autopilot."):
+            raise ServiceError(
+                "run {} is an {} run; autopilot runs replay as a whole — "
+                "rerun `grctl autopilot` instead of resuming".format(
+                    run_id, run["kind"]))
+        raise ServiceError("run {} has unknown kind {!r}".format(
+            run_id, run["kind"]))
     except StoreError as exc:
         raise ServiceError(str(exc))
-    observer.finalize(report["status"],
-                      rolled_back_at=report["rolled_back_at_stage"],
-                      final_rounds=report["rounds"])
-    return _summary(run_id, "rollout", report["status"], observer, store)
-
-
-def _drive_soak(store, run_id, scenario, jobs, max_rounds, skip_through):
-    from repro.fleet.scenario import fleet_versions
-
-    rounds = scenario["rounds"]
-    specs = make_fleet_specs(scenario["hosts"], scenario["seed"],
-                             scenario["rate_ios"])
-    old_version, _ = fleet_versions()
-    observer = StoreObserver(store, run_id, skip_through=skip_through,
-                             max_rounds=max_rounds)
-    try:
-        with FleetRunner(specs, old_version, SECOND, rounds,
-                         jobs=jobs) as runner:
-            for round_index in range(rounds):
-                until_ns = (round_index + 1) * SECOND
-                digests = runner.step_round(round_index, until_ns)
-                try:
-                    observer.on_round(round_index, until_ns, digests)
-                except ServiceInterrupted:
-                    return _summary(run_id, "soak", "running", observer,
-                                    store)
-    except StoreError as exc:
-        raise ServiceError(str(exc))
-    observer.finalize("completed", final_rounds=rounds)
-    return _summary(run_id, "soak", "completed", observer, store)
 
 
 __all__ = [
     "ServiceError",
     "StoreObserver",
+    "drive_rollout",
+    "drive_soak",
     "resume",
     "serve_rollout",
     "serve_soak",

@@ -18,7 +18,7 @@ import collections
 import functools
 import json
 
-from repro.fleet.aggregate import FleetDigest, HostDigest
+from repro.fleet.aggregate import FleetDigest, HostDigest, none_if_nan
 from repro.fleet.rollout import GateConfig
 from repro.service.store import StoreError, digest_from_bucket_row
 
@@ -135,8 +135,8 @@ def stage_rates(store, run_id=None):
             "cohort_hosts": cohort if cohort is not None else run["hosts"],
             "violation_rate": digest.violation_rate(),
             "inconclusive_rate": digest.inconclusive_rate(),
-            "p95_us": _none_if_nan(digest.p95_us()),
-            "mean_latency_us": _none_if_nan(digest.mean_latency_us()),
+            "p95_us": none_if_nan(digest.p95_us()),
+            "mean_latency_us": none_if_nan(digest.mean_latency_us()),
             "completed_ios": digest.completed_ios,
             "coverage": meta,
         }
@@ -183,7 +183,7 @@ def _trend_point(start, end, round_s, digest, downsampled):
         "downsampled": downsampled,
         "violation_rate": digest.violation_rate(),
         "inconclusive_rate": digest.inconclusive_rate(),
-        "p95_us": _none_if_nan(digest.p95_us()),
+        "p95_us": none_if_nan(digest.p95_us()),
         "completed_ios": digest.completed_ios,
         "host_seconds": digest.host_seconds(),
     }
@@ -366,12 +366,6 @@ def regenerate_report(store, run_id=None):
         "timeline": timeline,
         "scenario": run["scenario"],
     }
-
-
-def _none_if_nan(value):
-    if isinstance(value, float) and value != value:
-        return None
-    return value
 
 
 #: CLI registry: ``grctl query <name>``.

@@ -1,6 +1,7 @@
 """The closed loop: convergence, rollback + backoff, determinism, tracing."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -111,6 +112,30 @@ def test_report_is_byte_identical_across_reruns_and_jobs(tmp_path):
     a = loop_json(tmp_path, "a.sqlite", iterations=3, **ARGS)
     b = loop_json(tmp_path, "b.sqlite", iterations=3, **ARGS)
     c = loop_json(tmp_path, "c.sqlite", iterations=3, jobs=4, **ARGS)
+    assert a == b
+    assert a == c
+
+
+def store_dump(tmp_path, name, **kwargs):
+    """Every table of the store a loop leaves behind, as SQL text."""
+    path = str(tmp_path / name)
+    with ResultsStore(path) as store:
+        run_autopilot(store, **kwargs)
+    connection = sqlite3.connect(path)
+    try:
+        return "\n".join(connection.iterdump())
+    finally:
+        connection.close()
+
+
+def test_store_is_byte_identical_across_reruns_and_jobs(tmp_path):
+    # Deployed, rolled back, then cooldown: every run kind and verdict.
+    kwargs = dict(iterations=3, corrupt_at=1, **ARGS)
+    a = store_dump(tmp_path, "a.sqlite", **kwargs)
+    b = store_dump(tmp_path, "b.sqlite", **kwargs)
+    c = store_dump(tmp_path, "c.sqlite", jobs=2, **kwargs)
+    assert "autopilot.observe" in a and "autopilot.deploy" in a
+    assert "'rolled_back'" in a and "'deployed'" in a
     assert a == b
     assert a == c
 

@@ -182,18 +182,6 @@ def test_crashing_subscriber_does_not_starve_the_rest(store):
     assert "bomb" in entry["subscriber"]
 
 
-def test_strict_notify_reproduces_the_pre_fix_abort():
-    # The escape hatch keeps the original bug demonstrable: with
-    # strict_notify a raising subscriber aborts the remaining deliveries.
-    store = FeatureStore(strict_notify=True)
-    seen = []
-    store.subscribe(lambda k, v, now: (_ for _ in ()).throw(KeyError("bug")))
-    store.subscribe(lambda k, v, now: seen.append(k))
-    with pytest.raises(KeyError):
-        store.save("a", 1)
-    assert seen == []           # the second subscriber was starved
-
-
 def test_subscriber_error_log_is_bounded(store):
     store.subscribe(lambda k, v, now: (_ for _ in ()).throw(ValueError("x")))
     for i in range(store.MAX_SUBSCRIBER_ERRORS + 10):

@@ -1,6 +1,5 @@
 """HostDigest/FleetDigest: observation, merging, and fleet-wide rates."""
 
-import copy
 import math
 import random
 
@@ -8,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.aggregate import (
-    FleetDigest,
-    HostDigest,
-    latency_histogram,
-    merge_groups,
-)
+from repro.fleet.aggregate import FleetDigest, HostDigest, latency_histogram
 from repro.sim.units import SECOND
 
 
@@ -116,37 +110,13 @@ def test_latency_histogram_bounds_are_shared():
 
 # -- Algebraic laws: a store may fold rows in any grouping and order --------
 
-counter_groups = st.dictionaries(
-    st.sampled_from(["storage", "cache", "mm", "net"]),
-    st.dictionaries(st.sampled_from(["checks", "violations", "actions"]),
-                    st.integers(min_value=0, max_value=10**6), max_size=3),
-    max_size=3)
-
-
-def merged_groups(*groups):
-    out = {}
-    for group in groups:
-        merge_groups(out, copy.deepcopy(group))
-    return out
-
-
-@settings(max_examples=50)
-@given(a=counter_groups, b=counter_groups, c=counter_groups)
-def test_merge_groups_laws(a, b, c):
-    assert merged_groups(merged_groups(a, b), c) == \
-        merged_groups(a, merged_groups(b, c))
-    assert merged_groups({}, a) == merged_groups(a, {}) == merged_groups(a)
-    assert merged_groups(a, b) == merged_groups(b, a)
-
-
 host_rows = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),       # host
         st.integers(min_value=0, max_value=2),       # violations
         st.lists(st.tuples(st.integers(min_value=0, max_value=40),  # time
                            st.floats(min_value=0.0, max_value=6000.0),
-                           st.booleans()), max_size=8),
-        counter_groups),
+                           st.booleans()), max_size=8)),
     min_size=1, max_size=6)
 
 
@@ -155,12 +125,11 @@ host_rows = st.lists(
 def test_merge_host_is_row_order_independent(rows, order):
     def digests():
         out = []
-        for round_index, (host, violations, ios, groups) in enumerate(rows):
+        for round_index, (host, violations, ios) in enumerate(rows):
             digest = HostDigest(host, round_index, round_index * SECOND,
                                 version=1)
             digest.checks = 1
             digest.violations = violations
-            digest.groups = copy.deepcopy(groups)
             for time_ns, latency, false_submit in sorted(ios):
                 digest.observe_io(time_ns, latency, false_submit, True)
             out.append(digest.to_row())
@@ -172,7 +141,7 @@ def test_merge_host_is_row_order_independent(rows, order):
             fleet.merge_host(HostDigest.from_row(row))
         counters = {field: getattr(fleet, field)
                     for field in HostDigest.COUNTER_FIELDS}
-        return (counters, fleet.hosts, fleet.host_rounds, fleet.groups,
+        return (counters, fleet.hosts, fleet.host_rounds,
                 fleet.latency.to_json(), fleet.last_time_ns)
 
     shuffled = digests()

@@ -1,6 +1,7 @@
 """SimulatedHost and FleetRunner: real kernels, inline vs process shards."""
 
 import gc
+import json
 import time
 import tracemalloc
 
@@ -27,6 +28,33 @@ def test_simulated_host_serves_ios_and_checks():
     assert digest.completed_ios > 0
     assert digest.checks >= 1
     assert digest.latency.total == digest.completed_ios
+
+
+def test_digest_row_carries_exactly_the_three_sketches():
+    # The stored row schema: counters in columns, three sketch blobs.
+    host = SimulatedHost(HostSpec(0, seed=11), V1, SECOND, total_rounds=1)
+    host.step(1 * SECOND)
+    digest = host.digest(0)
+    assert set(json.loads(digest.to_row()["sketches"])) == {
+        "latency", "summary", "tail"}
+
+
+def test_counter_deltas_stay_exact_across_apply():
+    # An update mid-round: the retired monitor's checks since the last
+    # digest and the new monitor's both land in the next digest, once.
+    host = SimulatedHost(HostSpec(0, seed=7), V1, SECOND, total_rounds=4)
+    host.step(2 * SECOND)
+    first = host.digest(0)
+    host.step(3 * SECOND)
+    retiring = host.kernel.guardrails.get(V1.name)
+    retired_checks = retiring.check_count
+    host.apply(V2)
+    host.step(4 * SECOND)
+    second = host.digest(1)
+    live_checks = host.kernel.guardrails.get(V2.name).check_count
+    assert first.checks == 2
+    assert second.checks == retired_checks - first.checks + live_checks
+    assert second.checks == 2
 
 
 def test_counter_deltas_survive_guardrail_update():

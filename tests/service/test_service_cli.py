@@ -104,6 +104,7 @@ def test_serve_flag_validation(tmp_path):
         ["serve", "--store", store, "--run", "1"],  # --run without --resume
         ["serve", "--store", store, "--retain-rounds", "0"],
         ["serve", "--store", store, "--resume"],  # empty store
+        ["serve", "--store", store, "--resume", "--run", "99"],  # no run
     ):
         code, _ = run(argv)
         assert code == 2, argv

@@ -29,7 +29,7 @@ from repro.core.synthesis import (
     synthesis_provenance,
     synthesize_guardrails,
 )
-from repro.eval.calibrate import _round_2sf as round_2sf
+from repro.eval.stats import round_2sf
 from repro.fleet.rollout import GuardrailVersion
 from repro.fleet.scenario import GUARDRAIL_NAME
 

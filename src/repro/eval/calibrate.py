@@ -11,7 +11,7 @@ arithmetic over an eval results document:
    episode reaches (the noise ceiling the threshold must clear) and the
    smallest per-episode maximum among the fault episodes that stress
    that axis (the signal floor it must stay under).  The fault-kind ->
-   axis mapping is :data:`AXIS_BY_FAULT_KIND`.
+   axis mapping is :data:`repro.fleet.scenario.AXIS_BY_FAULT_KIND`.
 2. Recommend a threshold: keep the current value when it already sits
    strictly inside the band (calibration is idempotent on a calibrated
    config); otherwise take the band's log-midpoint rounded to two
@@ -25,12 +25,10 @@ arithmetic over an eval results document:
 
 import math
 
-from repro.eval.episodes import GATE_AXES, fleet_verdict
-from repro.eval.stats import paired_permutation_pvalue
-
-#: Which gate axis each fleet fault kind is constructed to stress.
-AXIS_BY_FAULT_KIND = {"corrupt": "inconclusive", "drift": "violation",
-                      "stall": "p95"}
+from repro.eval.episodes import fleet_verdict
+from repro.eval.stats import paired_permutation_pvalue, round_2sf
+from repro.fleet.rollout import GateConfig
+from repro.fleet.scenario import AXIS_BY_FAULT_KIND
 
 
 def _fleet_results(document):
@@ -51,13 +49,6 @@ def _episode_max(result, measurement_key):
               for stage in result["stages"]
               if stage["measurements"][measurement_key] is not None]
     return max(values) if values else None
-
-
-def _round_2sf(value):
-    if value == 0:
-        return 0.0
-    digits = 1 - int(math.floor(math.log10(abs(value))))
-    return round(value, digits)
 
 
 def _axis_band(results, axis, measurement_key):
@@ -106,7 +97,7 @@ def _recommend(band, current):
         midpoint = math.sqrt(clean_max * fault_min)
     else:
         midpoint = (clean_max + fault_min) / 2.0
-    rounded = _round_2sf(midpoint)
+    rounded = round_2sf(midpoint)
     if not clean_max < rounded < fault_min:
         rounded = midpoint  # rounding left the band; use the exact midpoint
     return rounded, "recalibrated to the band log-midpoint"
@@ -176,13 +167,11 @@ def calibrate(document, current=None):
     dict, ``verification.passed`` says whether it separates every
     labelled episode.
     """
-    from repro.fleet.rollout import GateConfig
-
     current = current or GateConfig()
     results = _fleet_results(document)
     axes = {}
     recommended_kwargs = {"min_checks": current.min_checks}
-    for axis, measurement_key, threshold_attr in GATE_AXES:
+    for axis, measurement_key, threshold_attr, _ in GateConfig.AXES:
         band = _axis_band(results, axis, measurement_key)
         value, how = _recommend(band, getattr(current, threshold_attr))
         band["current"] = getattr(current, threshold_attr)
@@ -202,5 +191,4 @@ def calibrate(document, current=None):
     }
 
 
-__all__ = ["AXIS_BY_FAULT_KIND", "calibrate", "compare_configs",
-           "evaluate_config"]
+__all__ = ["calibrate", "compare_configs", "evaluate_config"]

@@ -18,11 +18,12 @@ shape, and action are the real thing.  Three regimes per family:
 gate (every threshold infinite) so all stages execute and every stage's
 gate measurements are recorded.  The verdict under any real
 :class:`~repro.fleet.rollout.GateConfig` is then computed offline by
-:func:`gate_trip_axes` — exactly, not approximately: a gate only ever
-*halts* a rollout, so the simulation up to the first tripping stage is
-identical with or without enforcement, and "would config C trip this
-run" is decidable from the recorded measurements alone.  Calibration
-sweeps thresholds over these records without re-running anything.
+:meth:`GateConfig.tripped_axes` — exactly, not approximately: a gate
+only ever *halts* a rollout, so the simulation up to the first tripping
+stage is identical with or without enforcement, and "would config C
+trip this run" is decidable from the recorded measurements alone.
+Calibration sweeps thresholds over these records without re-running
+anything.
 """
 
 import math
@@ -259,37 +260,12 @@ def run_host_episode(family_name, regime, seed):
 
 # -- fleet episodes ----------------------------------------------------------
 
-#: The gate axes, in evaluation order, with their measurement keys.
-GATE_AXES = (
-    ("violation", "violation_rate_delta", "max_violation_rate_delta"),
-    ("inconclusive", "inconclusive_rate_delta", "max_inconclusive_rate_delta"),
-    ("p95", "p95_ratio", "max_p95_ratio"),
-)
-
-
 def permissive_gate():
     """A GateConfig that never trips — used to record all-stage data."""
     from repro.fleet.rollout import GateConfig
     return GateConfig(max_violation_rate_delta=math.inf,
                       max_inconclusive_rate_delta=math.inf,
                       max_p95_ratio=math.inf)
-
-
-def gate_trip_axes(gate, measurements):
-    """Which axes of ``gate`` trip on one stage's recorded measurements.
-
-    Mirrors :meth:`GateConfig.evaluate` exactly (tested against it):
-    below the ``min_checks`` sample floor nothing trips, and a missing
-    p95 ratio (dark baseline) cannot trip the latency axis.
-    """
-    if measurements["checks"] < gate.min_checks:
-        return []
-    axes = []
-    for axis, measurement_key, threshold_attr in GATE_AXES:
-        value = measurements[measurement_key]
-        if value is not None and value > getattr(gate, threshold_attr):
-            axes.append(axis)
-    return axes
 
 
 def fleet_verdict(gate, stages):
@@ -299,47 +275,38 @@ def fleet_verdict(gate, stages):
     would have halted there), else ``allow``.
     """
     for stage in stages:
-        axes = gate_trip_axes(gate, stage["measurements"])
+        axes = gate.tripped_axes(stage["measurements"])
         if axes:
             return {"verdict": "trip", "tripped_stage": stage["stage"],
                     "tripped_axes": axes}
     return {"verdict": "allow", "tripped_stage": None, "tripped_axes": []}
 
 
-def run_fleet_episode(hosts, seed, fault_hosts, fault_kind, quick, gate=None):
-    """Run one recorded fleet rollout episode; verdict computed offline."""
-    from repro.fleet.rollout import GateConfig
+def run_fleet_episode(hosts, seed, fault_hosts, fault_kind, quick):
+    """Run one recorded fleet rollout episode; its per-stage records.
+
+    Each record is ``{"stage": label, "measurements": {...}}``; the caller
+    judges them under a real gate (:func:`fleet_verdict`).
+    """
     from repro.fleet.scenario import run_fleet_rollout
 
-    gate = gate or GateConfig()
     report = run_fleet_rollout(hosts=hosts, seed=seed,
                                fault_hosts=fault_hosts,
                                fault_kind=fault_kind if fault_hosts else
                                "corrupt",
                                quick=quick, gate=permissive_gate())
-    stages = [{"stage": entry["stage"]["label"],
-               "measurements": entry["gate"]["measurements"]}
-              for entry in report["stages"]]
-    outcome = fleet_verdict(gate, stages)
-    outcome.update({
-        "guardrail": report["versions"]["new"]["name"],
-        "property": None,
-        "action": None,
-        "stages": stages,
-        "gate": gate.to_dict(),
-    })
-    return outcome
+    return [{"stage": entry["stage"]["label"],
+             "measurements": entry["gate"]["measurements"]}
+            for entry in report["stages"]]
 
 
 __all__ = [
     "EXPECTED_BY_REGIME",
     "FAULT_START_S",
-    "GATE_AXES",
     "HOST_DURATION_S",
     "HOST_FAMILIES",
     "HOST_REGIMES",
     "fleet_verdict",
-    "gate_trip_axes",
     "permissive_gate",
     "run_fleet_episode",
     "run_host_episode",

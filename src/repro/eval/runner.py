@@ -16,11 +16,11 @@ from repro.eval.score import score_results
 DOCUMENT_SCHEMA = "repro-eval/v1"
 
 
-def _episode_payload(episode, gate_dict):
+def _episode_payload(episode):
     """Run one episode and return its raw outcome: the one kind dispatch.
 
-    Both the pool target and :func:`run_episode`; ``gate_dict`` is a
-    :meth:`GateConfig.to_dict` so the arguments pickle plainly.
+    Both the pool target and :func:`run_episode`.  A fleet episode
+    returns its stage records only; the parent judges them.
     """
     if episode["kind"] == "host":
         from repro.eval.episodes import run_host_episode
@@ -32,12 +32,10 @@ def _episode_payload(episode, gate_dict):
 
         return run_scenario(get_scenario(episode["scenario"]))
     from repro.eval.episodes import run_fleet_episode
-    from repro.fleet.rollout import GateConfig
 
     return run_fleet_episode(
         episode["hosts"], episode["seed"], episode["fault_hosts"],
-        episode["fault_kind"], episode["tier"] == "quick",
-        gate=GateConfig(**gate_dict))
+        episode["fault_kind"], episode["tier"] == "quick")
 
 
 def _cost(episode):
@@ -90,7 +88,8 @@ def _base_result(episode):
 
 
 def _merge_outcome(episode, outcome, gate):
-    from repro.eval.episodes import gate_trip_axes
+    from repro.eval.episodes import fleet_verdict
+    from repro.fleet.scenario import GUARDRAIL_NAME
 
     result = _base_result(episode)
     if outcome["status"] != "ok":
@@ -114,6 +113,9 @@ def _merge_outcome(episode, outcome, gate):
             "registry_matched": payload["matched"],
         })
         return result
+    if episode["kind"] == "fleet":
+        stages = payload
+        payload = dict(fleet_verdict(gate, stages), guardrail=GUARDRAIL_NAME)
     result["verdict"] = payload["verdict"]
     result["correct"] = payload["verdict"] == episode["expected"]
     result["guardrail"] = payload["guardrail"]
@@ -130,11 +132,11 @@ def _merge_outcome(episode, outcome, gate):
         result.update({
             "tripped_stage": payload["tripped_stage"],
             "tripped_axes": payload["tripped_axes"],
-            "stages": payload["stages"],
+            "stages": stages,
             "stage_verdicts": [
                 {"stage": stage["stage"],
-                 "tripped_axes": gate_trip_axes(gate, stage["measurements"])}
-                for stage in payload["stages"]
+                 "tripped_axes": gate.tripped_axes(stage["measurements"])}
+                for stage in stages
             ],
         })
     return result
@@ -151,7 +153,7 @@ def run_episode(episode):
     from repro.fleet.rollout import GateConfig
 
     gate = GateConfig()
-    payload = _episode_payload(episode, gate.to_dict())
+    payload = _episode_payload(episode)
     outcome = {"id": episode["id"], "status": "ok",
                "payload": {"result": payload}}
     return _merge_outcome(episode, outcome, gate)
@@ -172,8 +174,7 @@ def run_eval(dataset_path=None, tier="full", jobs=1, ids=None,
     if not selected:
         raise ValueError("selection matched no episodes")
     by_id = {episode["id"]: episode for episode in selected}
-    gate_dict = gate.to_dict()
-    tasks = [PoolTask(episode["id"], _episode_payload, (episode, gate_dict),
+    tasks = [PoolTask(episode["id"], _episode_payload, (episode,),
                       cost=_cost(episode))
              for episode in selected]
     tasks.sort(key=lambda task: (-task.cost, task.id))
@@ -188,7 +189,7 @@ def run_eval(dataset_path=None, tier="full", jobs=1, ids=None,
             "dataset_version": header["dataset_version"],
         },
         "tier": tier,
-        "gate": gate_dict,
+        "gate": gate.to_dict(),
         "episodes": results,
         "scores": score_results(results),
     }

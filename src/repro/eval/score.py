@@ -97,12 +97,12 @@ def _fleet_axis_rates(results):
     calibrated defaults, so it is reported per axis with Wilson bounds
     even when (especially when) every count is zero.
     """
-    from repro.eval.episodes import GATE_AXES
+    from repro.fleet.rollout import GateConfig
 
     clean = [result for result in results
              if result["kind"] == "fleet" and result["expected"] == "allow"]
     out = {}
-    for axis, _, _ in GATE_AXES:
+    for axis, _, _, _ in GateConfig.AXES:
         false_trips = sum(
             1 for result in clean
             if any(axis in stage.get("tripped_axes", ())

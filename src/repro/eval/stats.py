@@ -1,6 +1,6 @@
 """Statistics for guardrail-quality scoring.
 
-Three tools, all exact/deterministic:
+Four tools, all exact/deterministic:
 
 - :func:`wilson_interval` — the score interval for a binomial proportion.
   Eval sample sizes are small (a dozen clean rollout seeds), where the
@@ -12,6 +12,8 @@ Three tools, all exact/deterministic:
   p-value reproducible byte-for-byte.
 - :func:`precision_recall_f1` — confusion-count arithmetic with the usual
   zero-denominator conventions.
+- :func:`round_2sf` — the two-significant-figure rounding that gate
+  calibration and the autopilot's proposals apply to a threshold.
 """
 
 import math
@@ -89,5 +91,13 @@ def precision_recall_f1(tp, fp, fn):
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-__all__ = ["paired_permutation_pvalue", "precision_recall_f1",
+def round_2sf(value):
+    """``value`` rounded to two significant figures (0 stays 0.0)."""
+    if value == 0:
+        return 0.0
+    digits = 1 - int(math.floor(math.log10(abs(value))))
+    return round(value, digits)
+
+
+__all__ = ["paired_permutation_pvalue", "precision_recall_f1", "round_2sf",
            "wilson_interval"]

@@ -69,12 +69,8 @@ class HostDigest:
         self.latency_summary = SummaryDigest()
         self.latency_tail = P2Quantile(TAIL_Q)
 
-    def observe_io(self, time_ns, latency_us, false_submit, predicted_fast):
-        """Fold one completed I/O into the round's sketches.
-
-        ``time_ns`` is the completion hook's timestamp; no sketch keeps
-        per-event times, so it is not recorded.
-        """
+    def observe_io(self, latency_us, false_submit, predicted_fast):
+        """Fold one completed I/O into the round's sketches."""
         self.completed_ios += 1
         self.latency.update(latency_us)
         self.latency_summary.update(latency_us)

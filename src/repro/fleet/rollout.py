@@ -165,6 +165,18 @@ class GateConfig:
     __slots__ = ("max_violation_rate_delta", "max_inconclusive_rate_delta",
                  "max_p95_ratio", "min_checks")
 
+    #: The one gate rule, in evaluation order: axis, measurement key,
+    #: threshold attribute, and the reason a trip reports.  Every consumer
+    #: asks :meth:`tripped_axes` or :meth:`margins`; none compares itself.
+    AXES = (
+        ("violation", "violation_rate_delta", "max_violation_rate_delta",
+         "violation rate delta {:.3f} > {:.3f}/host-s"),
+        ("inconclusive", "inconclusive_rate_delta",
+         "max_inconclusive_rate_delta",
+         "inconclusive rate delta {:.3f} > {:.3f}/host-s"),
+        ("p95", "p95_ratio", "max_p95_ratio", "p95 ratio {:.2f} > {:.2f}"),
+    )
+
     def __init__(self, max_violation_rate_delta=0.5,
                  max_inconclusive_rate_delta=0.5, max_p95_ratio=16.0,
                  min_checks=1):
@@ -181,14 +193,37 @@ class GateConfig:
             "min_checks": self.min_checks,
         }
 
+    def margins(self, measurements):
+        """Headroom per measurement key: threshold minus measurement.
+
+        Negative is past the bound; ``None`` where the measurement is
+        missing (a dark baseline has no p95 ratio).
+        """
+        out = {}
+        for _, key, threshold_attr, _ in self.AXES:
+            value = measurements.get(key)
+            out[key] = (None if value is None
+                        else getattr(self, threshold_attr) - value)
+        return out
+
+    def tripped_axes(self, measurements):
+        """The axes that trip on one stage's measurements, in AXES order.
+
+        Below the ``min_checks`` sample floor nothing trips; an axis with
+        no measurement cannot trip.
+        """
+        if measurements["checks"] < self.min_checks:
+            return []
+        margins = self.margins(measurements)
+        return [axis for axis, key, _, _ in self.AXES
+                if margins[key] is not None and margins[key] < 0]
+
     def evaluate(self, baseline, observed):
         """Compare cohort ``observed`` against ``baseline``; both digests."""
         base_rate = baseline.violation_rate()
         obs_rate = observed.violation_rate()
-        rate_delta = obs_rate - base_rate
         base_inconclusive = baseline.inconclusive_rate()
         obs_inconclusive = observed.inconclusive_rate()
-        inconclusive_delta = obs_inconclusive - base_inconclusive
         base_p95 = baseline.p95_us()
         obs_p95 = observed.p95_us()
         if base_p95 and not math.isnan(base_p95) and not math.isnan(obs_p95):
@@ -198,10 +233,10 @@ class GateConfig:
         measurements = {
             "baseline_violation_rate": base_rate,
             "violation_rate": obs_rate,
-            "violation_rate_delta": rate_delta,
+            "violation_rate_delta": obs_rate - base_rate,
             "baseline_inconclusive_rate": base_inconclusive,
             "inconclusive_rate": obs_inconclusive,
-            "inconclusive_rate_delta": inconclusive_delta,
+            "inconclusive_rate_delta": obs_inconclusive - base_inconclusive,
             "baseline_p95_us": none_if_nan(base_p95),
             "p95_us": none_if_nan(obs_p95),
             "p95_ratio": p95_ratio,
@@ -212,18 +247,11 @@ class GateConfig:
                                      .format(observed.checks,
                                              self.min_checks)],
                               measurements)
-        reasons = []
-        if rate_delta > self.max_violation_rate_delta:
-            reasons.append(
-                "violation rate delta {:.3f} > {:.3f}/host-s".format(
-                    rate_delta, self.max_violation_rate_delta))
-        if inconclusive_delta > self.max_inconclusive_rate_delta:
-            reasons.append(
-                "inconclusive rate delta {:.3f} > {:.3f}/host-s".format(
-                    inconclusive_delta, self.max_inconclusive_rate_delta))
-        if p95_ratio is not None and p95_ratio > self.max_p95_ratio:
-            reasons.append("p95 ratio {:.2f} > {:.2f}".format(
-                p95_ratio, self.max_p95_ratio))
+        tripped = self.tripped_axes(measurements)
+        reasons = [reason.format(measurements[key],
+                                 getattr(self, threshold_attr))
+                   for axis, key, threshold_attr, reason in self.AXES
+                   if axis in tripped]
         return GateResult(not reasons, reasons, measurements)
 
 

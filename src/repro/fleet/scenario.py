@@ -61,12 +61,15 @@ def fleet_versions():
             GuardrailVersion(GUARDRAIL_NAME, 2, FLEET_SPEC_V2))
 
 
-#: How the faulted cohort misbehaves, one kind per gate axis:
-#: ``corrupt`` blinds the guardrail signal (NaN telemetry -> inconclusive
-#: checks), ``drift`` switches the device regime so the stand-in policy
-#: genuinely false-submits (violations), ``stall`` adds inference latency
-#: to every pick (tail-latency blowup).
-FLEET_FAULT_KINDS = ("corrupt", "drift", "stall")
+#: How the faulted cohort misbehaves, keyed to the one gate axis
+#: (:attr:`GateConfig.AXES`) each kind is built to stress: ``corrupt``
+#: blinds the guardrail signal (NaN telemetry -> inconclusive checks),
+#: ``drift`` switches the device regime so the stand-in policy genuinely
+#: false-submits (violations), ``stall`` adds inference latency to every
+#: pick (tail-latency blowup).
+AXIS_BY_FAULT_KIND = {"corrupt": "inconclusive", "drift": "violation",
+                      "stall": "p95"}
+FLEET_FAULT_KINDS = tuple(AXIS_BY_FAULT_KIND)
 
 #: Stall magnitude: with an ~130us clean p95, an 8ms decision stall pushes
 #: the cohort p95 to the digest histogram cap — unambiguously past any
@@ -204,6 +207,7 @@ def run_fleet_rollout(hosts=8, stages="canary:1,25%,100%", seed=42, jobs=1,
 
 
 __all__ = [
+    "AXIS_BY_FAULT_KIND",
     "FLEET_FAULT_KINDS",
     "FLEET_SPEC_V1",
     "FLEET_SPEC_V2",

@@ -6,9 +6,10 @@ storage volume, Poisson workload, and (optionally) an armed fault plan —
 seeded deterministically from its :class:`HostSpec`.  Hosts share nothing,
 which is what makes sharding safe: the :class:`FleetRunner` splits them
 into contiguous shards across worker processes and steps the whole fleet
-in lockstep *rounds*, reusing the ``repro.bench.runner`` process
-machinery (daemon workers, ``Pipe`` transport with the send-before-exit
-discipline, poll-with-deadline supervision).
+in lockstep *rounds*.  Shards speak their own small protocol: one
+long-lived daemon process per shard reads ``step``/``stop`` messages off
+a duplex ``Pipe`` and answers each step with its hosts' digests (sent
+before any exit), while the parent polls each pipe against a deadline.
 
 Per round the runner broadcasts the control plane's directives (guardrail
 version updates, keyed by host id), each worker steps its hosts to the
@@ -99,9 +100,7 @@ class SimulatedHost:
         if spec.fault_flags:
             plan = FaultPlan.from_flags(spec.fault_flags,
                                         seed=spec.fault_seed)
-            self.injector = FaultInjector(kernel, plan).install()
-        else:
-            self.injector = None
+            FaultInjector(kernel, plan).install()
         if spec.drift_s is not None:
             from repro.kernel.storage import DeviceProfile
             from repro.kernel.storage.trace import schedule_profile_change
@@ -111,16 +110,16 @@ class SimulatedHost:
         self._digest = HostDigest(spec.host_id, 0, 0, self.version)
         self._digest_probe = volume.complete_hook.attach(
             self._on_io_complete, name="fleet.digest")
-        self.workload = PoissonWorkload(
+        PoissonWorkload(
             kernel, volume, [(total_rounds * round_ns, spec.rate_ios)]
         ).start()
 
     # -- digest plumbing ---------------------------------------------------
 
-    def _on_io_complete(self, _hook, now, payload):
+    def _on_io_complete(self, _hook, _now, payload):
         # The storage.io_complete payload always carries every key.
         self._digest.observe_io(
-            now, payload["latency_us"], payload["false_submit"],
+            payload["latency_us"], payload["false_submit"],
             bool(payload["used_model"] and payload["predicted_fast"]))
 
     def close(self):
@@ -196,8 +195,7 @@ def _step_hosts(hosts, round_index, until_ns, directives):
 def _fleet_worker(specs, initial_version_dict, round_ns, total_rounds, conn):
     """Child-process entry: own a shard of hosts for the whole run.
 
-    Results travel over a pipe (send completes before any exit), matching
-    the bench runner's transport discipline.
+    Results travel over the pipe, each send completing before any exit.
     """
     try:
         version = GuardrailVersion.from_dict(initial_version_dict)

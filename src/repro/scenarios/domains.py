@@ -10,7 +10,7 @@ when multiple control loops observe the same system.
 Every builder returns a :class:`DomainRig` carrying the armed monitors,
 the store keys its guardrail watches (the corrupt-telemetry fault
 targets), and a ``counters()`` thunk of integer activity counters that
-merge exactly across fleet shards (see ``fleet.aggregate.HostDigest``).
+a scenario result reports per domain.
 
 Workload tokens per domain (``quiet`` is always valid):
 

@@ -1,13 +1,13 @@
 """Typed queries over a fleet results store.
 
-Every query reads the store alone — no live fleet, no controller — and
-every one is answerable *mid-run* (WAL mode lets readers watch a store a
-service is still writing).  The flagship query, :func:`regenerate_report`,
-rebuilds the full ``grctl fleet --json`` rollout report from stored rows:
+Every query reads the store alone — no live fleet — and every one is
+answerable *mid-run* (WAL mode lets readers watch a store a service
+is still writing).  The flagship query, :func:`regenerate_report`,
+rebuilds the full ``grctl fleet --json`` rollout report by running the
+live :class:`~repro.fleet.rollout.RolloutController` over the stored rows:
 host digests round-trip exactly (:meth:`HostDigest.to_row`/``from_row``),
-cohort merges replay in the same (round, host) order the live controller
-used, and gates re-evaluate from the same config — so the regenerated
-report is byte-identical to the live one.
+so the regenerated report is byte-identical to the live one, and the
+replay cross-checks the stored versions and timeline as it goes.
 
 Aggregations over rounds past the retention horizon fall back to the
 downsampled time buckets; results that had to touch a bucket only
@@ -19,7 +19,13 @@ import functools
 import json
 
 from repro.fleet.aggregate import FleetDigest, HostDigest, none_if_nan
-from repro.fleet.rollout import GateConfig
+from repro.fleet.rollout import (
+    GateConfig,
+    GuardrailVersion,
+    RolloutController,
+    RolloutPlan,
+    Stage,
+)
 from repro.service.store import StoreError, digest_from_bucket_row
 
 
@@ -197,30 +203,18 @@ def gate_margins(store, run_id=None):
     """
     run = resolve_run(store, run_id)
     run_id = run["run_id"]
-    gate_config = None
-    if run["plan"] is not None:
-        gate_config = run["plan"]["gate"]
+    gate_config = None if run["plan"] is None else run["plan"]["gate"]
+    gate = None if gate_config is None else GateConfig(**gate_config)
     out = []
     for row in store.gate_rows(run_id):
         measurements = json.loads(row["measurements"])
-        margins = {}
-        if gate_config is not None:
-            margins["violation_rate_delta"] = (
-                gate_config["max_violation_rate_delta"]
-                - measurements["violation_rate_delta"])
-            margins["inconclusive_rate_delta"] = (
-                gate_config["max_inconclusive_rate_delta"]
-                - measurements["inconclusive_rate_delta"])
-            ratio = measurements.get("p95_ratio")
-            margins["p95_ratio"] = (None if ratio is None
-                                    else gate_config["max_p95_ratio"] - ratio)
         out.append({
             "stage": row["stage"],
             "round": row["round_index"],
             "passed": bool(row["passed"]),
             "reasons": json.loads(row["reasons"]),
             "measurements": measurements,
-            "margins": margins,
+            "margins": {} if gate is None else gate.margins(measurements),
         })
     return {"run": run_id, "gate": gate_config, "gates": out}
 
@@ -292,13 +286,50 @@ def list_runs(store, run_id=None):
 # -- full report regeneration ----------------------------------------------
 
 
+class _StoredRounds:
+    """A :class:`~repro.fleet.worker.FleetRunner` stand-in over a finished
+    run: ``step_round`` returns that round's stored digests in host order.
+
+    A host row that is missing, extra, or on another version than the
+    controller's directives put its host on raises :class:`StoreError`.
+    """
+
+    def __init__(self, store, run_id, hosts, version):
+        self.store = store
+        self.run_id = run_id
+        self.host_ids = list(range(hosts))
+        self._versions = dict.fromkeys(self.host_ids, version)
+
+    def step_round(self, round_index, until_ns, directives=None):
+        for host_id, versions in (directives or {}).items():
+            self._versions[host_id] = versions[-1]["version"]
+        digests = [HostDigest.from_row(row) for row in self.store.digest_rows(
+            self.run_id, round_index, round_index + 1)]
+        if [digest.host_id for digest in digests] != self.host_ids:
+            raise StoreError(
+                "run {} round {}: stored digests do not cover hosts 0..{}"
+                .format(self.run_id, round_index, len(self.host_ids) - 1))
+        for digest in digests:
+            if digest.version != self._versions[digest.host_id]:
+                raise StoreError(
+                    "run {} round {}: host {} digest is at version {} but "
+                    "the rollout's directives put it on version {}".format(
+                        self.run_id, round_index, digest.host_id,
+                        digest.version, self._versions[digest.host_id]))
+        return digests
+
+
 def regenerate_report(store, run_id=None):
     """Rebuild the exact ``grctl fleet --json`` report from stored rows.
 
-    Requires a finalized rollout run whose rounds are all still raw
-    (retention must not have downsampled them — exactness needs the
-    original digests).  Byte-identity with the live report is the store's
-    acceptance contract, asserted in tests and CI.
+    Replays the run: the stored plan and versions drive the live
+    :class:`RolloutController` over the stored host digests, so the report
+    is the controller's own, byte-identical to the live one by
+    construction.  Requires a finalized rollout run whose rounds are all
+    still raw (retention must not have downsampled them — exactness needs
+    the original digests).  A stored digest whose version disagrees with
+    the replayed directives, or a replayed timeline that differs from the
+    stored ``events`` rows, raises :class:`StoreError`.
     """
     run = resolve_run(store, run_id)
     run_id = run["run_id"]
@@ -320,52 +351,23 @@ def regenerate_report(store, run_id=None):
             .format(run_id, len(raw), len(expected)))
 
     plan = run["plan"]
-    gate = GateConfig(**plan["gate"])
-    round_ns = run["round_ns"]
-    phases = [dict(row) for row in store.phase_rows(run_id)]
-
-    def fold(phase, host_ids=None):
-        digest, _ = merged_digest(store, run_id, phase["start_round"],
-                                  phase["end_round"], host_ids=host_ids,
-                                  round_ns=round_ns)
-        return digest
-
-    baseline_digest = None
-    stage_reports = []
-    plan_stages = list(plan["stages"])
-    stage_index = 0
-    for phase in phases:
-        if phase["kind"] == "baseline":
-            baseline_digest = fold(phase)
-        elif phase["kind"] == "stage":
-            cohort = fold(phase, host_ids=set(range(phase["target_hosts"])))
-            verdict = gate.evaluate(baseline_digest, cohort)
-            stage_reports.append({
-                "stage": plan_stages[stage_index],
-                "digest": cohort.to_dict(),
-                "gate": verdict.to_dict(),
-            })
-            stage_index += 1
-        elif phase["kind"] == "rollback":
-            settle = fold(phase)
-            stage_reports[-1]["rollback"] = {
-                "hosts": phase["target_hosts"],
-                "digest": settle.to_dict(),
-            }
-    timeline = [json.loads(row["entry"]) for row in store.event_rows(run_id)]
-    return {
-        "status": run["status"],
-        "rolled_back_at_stage": run["rolled_back_at"],
-        "hosts": run["hosts"],
-        "rounds": run["final_rounds"],
-        "round_s": round_ns / 1e9,
-        "versions": run["versions"],
-        "plan": plan,
-        "baseline": baseline_digest.to_dict(),
-        "stages": stage_reports,
-        "timeline": timeline,
-        "scenario": run["scenario"],
-    }
+    old_version = GuardrailVersion.from_dict(run["versions"]["old"])
+    new_version = GuardrailVersion.from_dict(run["versions"]["new"])
+    controller = RolloutController(
+        _StoredRounds(store, run_id, run["hosts"], old_version.version),
+        old_version, new_version,
+        RolloutPlan([Stage(**stage) for stage in plan["stages"]],
+                    baseline_rounds=plan["baseline_rounds"],
+                    gate=GateConfig(**plan["gate"])),
+        run["round_ns"])
+    report = controller.run()
+    stored = [json.loads(row["entry"]) for row in store.event_rows(run_id)]
+    if report["timeline"] != stored:
+        raise StoreError(
+            "run {}: the stored events disagree with the rollout replayed "
+            "from its stored digests".format(run_id))
+    report["scenario"] = run["scenario"]
+    return report
 
 
 #: CLI registry: ``grctl query <name>``.

@@ -54,7 +54,7 @@ def make_digest(host_id, round_index, version, submits, false_submits):
     digest = HostDigest(host_id, round_index, (round_index + 1) * 10 ** 9,
                         version)
     for i in range(submits):
-        digest.observe_io(i * 10 ** 6, 100.0, i < false_submits, True)
+        digest.observe_io(100.0, i < false_submits, True)
     return digest
 
 

@@ -11,15 +11,11 @@ import os
 
 import pytest
 
-from repro.eval.calibrate import (
-    AXIS_BY_FAULT_KIND,
-    calibrate,
-    compare_configs,
-    evaluate_config,
-)
+from repro.eval.calibrate import calibrate, compare_configs, evaluate_config
 from repro.eval.episodes import fleet_verdict
 from repro.eval.results import load_document
 from repro.fleet.rollout import GateConfig
+from repro.fleet.scenario import AXIS_BY_FAULT_KIND
 
 BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "EVAL_baseline.json")

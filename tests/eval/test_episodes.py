@@ -6,7 +6,6 @@ from repro.eval.episodes import (
     EXPECTED_BY_REGIME,
     HOST_FAMILIES,
     fleet_verdict,
-    gate_trip_axes,
     run_fleet_episode,
     run_host_episode,
 )
@@ -60,23 +59,22 @@ class TestHostEpisodes:
 
 
 class TestOfflineGate:
-    def test_gate_trip_axes_mirrors_gate_config(self):
+    def test_tripped_axes_on_recorded_measurements(self):
         gate = GateConfig(max_violation_rate_delta=0.5,
                           max_inconclusive_rate_delta=0.5,
                           max_p95_ratio=2.0, min_checks=4)
         base = {"violation_rate_delta": 0.0, "inconclusive_rate_delta": 0.0,
                 "p95_ratio": 1.0, "checks": 10}
-        assert gate_trip_axes(gate, base) == []
-        assert gate_trip_axes(gate, dict(base, p95_ratio=2.1)) == ["p95"]
-        assert gate_trip_axes(
-            gate, dict(base, violation_rate_delta=0.6,
-                       inconclusive_rate_delta=0.6)) == \
+        assert gate.tripped_axes(base) == []
+        assert gate.tripped_axes(dict(base, p95_ratio=2.1)) == ["p95"]
+        assert gate.tripped_axes(
+            dict(base, violation_rate_delta=0.6,
+                 inconclusive_rate_delta=0.6)) == \
             ["violation", "inconclusive"]
         # Below the sample floor nothing trips (insufficient data passes).
-        assert gate_trip_axes(
-            gate, dict(base, p95_ratio=99.0, checks=3)) == []
+        assert gate.tripped_axes(dict(base, p95_ratio=99.0, checks=3)) == []
         # A dark baseline (no p95 ratio) cannot trip the latency axis.
-        assert gate_trip_axes(gate, dict(base, p95_ratio=None)) == []
+        assert gate.tripped_axes(dict(base, p95_ratio=None)) == []
 
     def test_fleet_verdict_trips_at_the_first_bad_stage(self):
         gate = GateConfig(max_p95_ratio=2.0)
@@ -111,28 +109,28 @@ class TestFleetEpisodes:
 
         live = run_fleet_rollout(hosts=4, seed=42, fault_hosts=1,
                                  fault_kind="corrupt", quick=True)
-        episode = run_fleet_episode(4, 42, 1, "corrupt", True)
+        stages = run_fleet_episode(4, 42, 1, "corrupt", True)
+        verdict = fleet_verdict(GateConfig(), stages)
         assert live["status"] == "rolled_back"
-        assert episode["verdict"] == "trip"
-        assert episode["tripped_stage"] == live["rolled_back_at_stage"]
-        assert episode["tripped_axes"] == ["inconclusive"]
+        assert verdict["verdict"] == "trip"
+        assert verdict["tripped_stage"] == live["rolled_back_at_stage"]
+        assert verdict["tripped_axes"] == ["inconclusive"]
         # The stages the live run executed have byte-identical
         # measurements in the permissive recording.
-        for live_stage, recorded in zip(live["stages"], episode["stages"]):
+        for live_stage, recorded in zip(live["stages"], stages):
             assert live_stage["gate"]["measurements"] == \
                 recorded["measurements"]
             assert live_stage["gate"]["passed"] == \
-                (gate_trip_axes(GateConfig(),
-                                recorded["measurements"]) == [])
+                (GateConfig().tripped_axes(recorded["measurements"]) == [])
 
     def test_clean_episode_matches_live_rollout(self):
         from repro.fleet.scenario import run_fleet_rollout
 
         live = run_fleet_rollout(hosts=4, seed=42, quick=True)
-        episode = run_fleet_episode(4, 42, 0, None, True)
+        stages = run_fleet_episode(4, 42, 0, None, True)
         assert live["status"] == "completed"
-        assert episode["verdict"] == "allow"
-        assert len(episode["stages"]) == len(live["stages"])
-        for live_stage, recorded in zip(live["stages"], episode["stages"]):
+        assert fleet_verdict(GateConfig(), stages)["verdict"] == "allow"
+        assert len(stages) == len(live["stages"])
+        for live_stage, recorded in zip(live["stages"], stages):
             assert live_stage["gate"]["measurements"] == \
                 recorded["measurements"]

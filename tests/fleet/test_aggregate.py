@@ -17,17 +17,16 @@ def make_digest(host_id, round_index=0, violations=0, inconclusive=0,
     digest.checks = 1
     digest.violations = violations
     digest.inconclusive = inconclusive
-    for index, latency in enumerate(latencies):
-        digest.observe_io(time_ns - len(latencies) + index, latency,
-                          false_submit=False, predicted_fast=True)
+    for latency in latencies:
+        digest.observe_io(latency, false_submit=False, predicted_fast=True)
     return digest
 
 
 def test_observe_io_updates_counters_and_sketches():
     digest = HostDigest(3, 0, 0, version=1)
-    digest.observe_io(10, 100.0, false_submit=True, predicted_fast=True)
-    digest.observe_io(20, 200.0, false_submit=False, predicted_fast=True)
-    digest.observe_io(30, 300.0, false_submit=True, predicted_fast=False)
+    digest.observe_io(100.0, false_submit=True, predicted_fast=True)
+    digest.observe_io(200.0, false_submit=False, predicted_fast=True)
+    digest.observe_io(300.0, false_submit=True, predicted_fast=False)
     assert digest.completed_ios == 3
     assert digest.model_submits == 2
     # false submits only count where the model predicted fast.
@@ -114,8 +113,7 @@ host_rows = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),       # host
         st.integers(min_value=0, max_value=2),       # violations
-        st.lists(st.tuples(st.integers(min_value=0, max_value=40),  # time
-                           st.floats(min_value=0.0, max_value=6000.0),
+        st.lists(st.tuples(st.floats(min_value=0.0, max_value=6000.0),
                            st.booleans()), max_size=8)),
     min_size=1, max_size=6)
 
@@ -130,8 +128,8 @@ def test_merge_host_is_row_order_independent(rows, order):
                                 version=1)
             digest.checks = 1
             digest.violations = violations
-            for time_ns, latency, false_submit in sorted(ios):
-                digest.observe_io(time_ns, latency, false_submit, True)
+            for latency, false_submit in ios:
+                digest.observe_io(latency, false_submit, True)
             out.append(digest.to_row())
         return out
 
@@ -159,9 +157,8 @@ SKETCH_BYTES_CEILING = 1024
 def fed_digest(ios, round_index=0):
     rng = random.Random(ios * 64 + round_index)
     digest = HostDigest(0, round_index, (round_index + 1) * SECOND, version=1)
-    for index in range(ios):
-        digest.observe_io(round_index * SECOND + index,
-                          rng.uniform(0.0, 6000.0), rng.random() < 0.3,
+    for _ in range(ios):
+        digest.observe_io(rng.uniform(0.0, 6000.0), rng.random() < 0.3,
                           rng.random() < 0.8)
     return digest
 

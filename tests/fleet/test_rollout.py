@@ -1,7 +1,11 @@
 """Control plane: stage parsing, health gates, and the rollout state
 machine (driven against a scripted in-memory runner — no kernels)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.aggregate import FleetDigest, HostDigest
 from repro.fleet.rollout import (
@@ -72,8 +76,8 @@ def fleet_digest(violations=0, inconclusive=0, checks=None, host_rounds=4,
     host.checks = checks if checks is not None else host_rounds
     host.violations = violations
     host.inconclusive = inconclusive
-    for index, latency in enumerate(latencies):
-        host.observe_io(index, latency, False, True)
+    for latency in latencies:
+        host.observe_io(latency, False, True)
     digest.merge_host(host)
     digest.host_rounds = host_rounds  # host-seconds denominator
     return digest
@@ -120,6 +124,59 @@ def test_gate_min_checks_floor_passes_with_reason():
     assert any("insufficient" in reason for reason in result.reasons)
 
 
+# Small shared value pools make ties (measurement == threshold) common.
+_values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf]),
+                    st.floats(min_value=-10.0, max_value=10.0))
+gates = st.builds(GateConfig, max_violation_rate_delta=_values,
+                  max_inconclusive_rate_delta=_values, max_p95_ratio=_values,
+                  min_checks=st.integers(min_value=0, max_value=5))
+measurement_dicts = st.fixed_dictionaries(dict(
+    {key: st.one_of(st.none(), _values) for _, key, _, _ in GateConfig.AXES},
+    checks=st.integers(min_value=0, max_value=6)))
+
+
+@settings(max_examples=300)
+@given(gate=gates, measurements=measurement_dicts)
+def test_an_axis_trips_exactly_when_its_margin_is_negative(gate,
+                                                            measurements):
+    margins = gate.margins(measurements)
+    expected = [
+        axis for axis, key, _, _ in GateConfig.AXES
+        if measurements[key] is not None
+        and measurements["checks"] >= gate.min_checks
+        and margins[key] < 0
+    ]
+    assert gate.tripped_axes(measurements) == expected
+    for axis, key, threshold_attr, _ in GateConfig.AXES:
+        if measurements[key] is None:
+            assert margins[key] is None
+        else:  # a negative margin is exactly "over the bound"
+            assert (margins[key] < 0) == \
+                (measurements[key] > getattr(gate, threshold_attr))
+
+
+@settings(max_examples=100)
+@given(gate=gates,
+       counts=st.tuples(*[st.integers(min_value=0, max_value=8)] * 5),
+       latencies=st.tuples(*[st.lists(st.sampled_from([50.0, 100.0, 400.0]),
+                                      max_size=20)] * 2))
+def test_evaluate_gives_one_reason_per_tripped_axis(gate, counts, latencies):
+    violations_a, violations_b, inconclusive_a, inconclusive_b, checks = counts
+    result = gate.evaluate(
+        fleet_digest(violations_a, inconclusive_a, latencies=latencies[0]),
+        fleet_digest(violations_b, inconclusive_b, checks=checks,
+                     latencies=latencies[1]))
+    if checks < gate.min_checks:
+        assert result.passed
+        assert result.reasons == ["insufficient data ({} < {} checks)"
+                                  .format(checks, gate.min_checks)]
+        return
+    tripped = gate.tripped_axes(result.measurements)
+    # Reasons come in AXES order, each led by its axis name.
+    assert [reason.split()[0] for reason in result.reasons] == tripped
+    assert result.passed == (not tripped)
+
+
 # -- RolloutController against a scripted runner ---------------------------
 
 
@@ -151,7 +208,7 @@ class ScriptedRunner:
             digest.checks = 1
             if host_id in self.bad_hosts and self.versions[host_id] == 2:
                 digest.violations = 1
-            digest.observe_io(until_ns, 100.0, False, True)
+            digest.observe_io(100.0, False, True)
             digests.append(digest)
         return digests
 

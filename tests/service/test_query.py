@@ -1,6 +1,8 @@
 """Typed queries: mid-run answers, margins, and regeneration guards."""
 
+import io
 import json
+import sqlite3
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.service.query import (
     stage_rates,
 )
 from repro.service.store import ResultsStore, RetentionPolicy, StoreError
+from repro.tools.grctl import main
 
 
 @pytest.fixture
@@ -115,6 +118,44 @@ def test_regenerate_report_after_resume_matches_live(store):
     regen = regenerate_report(store)
     assert json.dumps(regen, indent=2, sort_keys=True) == \
         json.dumps(live, indent=2, sort_keys=True)
+
+
+def rewrite(store, sql, *args):
+    """Change stored rows behind the store's back (a second connection)."""
+    db = sqlite3.connect(store.path)
+    with db:
+        db.execute(sql, args)
+    db.close()
+
+
+def query_report_exit_code(store):
+    return main(["query", "report", "--store", store.path], out=io.StringIO())
+
+
+@pytest.mark.parametrize("sql, match", [
+    # No directive has moved host 0 off v1 in the first baseline round.
+    ("UPDATE host_digests SET version=2 WHERE round_index=0 AND host_id=0",
+     "version 2"),
+    ("DELETE FROM host_digests WHERE round_index=0 AND host_id=3",
+     "do not cover"),
+], ids=["wrong-version", "missing-host"])
+def test_regenerate_refuses_digests_the_replay_contradicts(faulted, sql,
+                                                           match):
+    rewrite(faulted, sql)
+    with pytest.raises(StoreError, match=match):
+        regenerate_report(faulted)
+    assert query_report_exit_code(faulted) == 2
+
+
+def test_regenerate_refuses_a_rewritten_event(faulted):
+    (trip,) = [row for row in faulted.event_rows(faulted.latest_run_id())
+               if row["event"] == "gate.trip"]
+    forged = dict(json.loads(trip["entry"]), reasons=["forged"])
+    rewrite(faulted, "UPDATE events SET entry=? WHERE seq=?",
+            json.dumps(forged, sort_keys=True), trip["seq"])
+    with pytest.raises(StoreError, match="stored events disagree"):
+        regenerate_report(faulted)
+    assert query_report_exit_code(faulted) == 2
 
 
 def test_regenerate_refuses_running_runs(store):

@@ -22,8 +22,7 @@ HOSTS = 2
 def make_digest(host_id, round_index):
     digest = HostDigest(host_id, round_index, (round_index + 1) * ROUND_NS, 1)
     for i in range(4 + round_index % 3):
-        digest.observe_io(round_index * ROUND_NS + i * 10 ** 7,
-                          50.0 + 13.0 * i + host_id, i % 2 == 0, True)
+        digest.observe_io(50.0 + 13.0 * i + host_id, i % 2 == 0, True)
     digest.checks = 1
     digest.violations = round_index % 2
     return digest

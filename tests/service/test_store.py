@@ -17,8 +17,7 @@ from repro.service.store import (
 def make_digest(host_id, round_index, ios=5, violations=0):
     digest = HostDigest(host_id, round_index, (round_index + 1) * 10 ** 9, 1)
     for i in range(ios):
-        digest.observe_io((round_index * 10 + i) * 10 ** 8,
-                          100.0 + 7.0 * i + host_id, i % 3 == 0, True)
+        digest.observe_io(100.0 + 7.0 * i + host_id, i % 3 == 0, True)
     digest.checks = 1
     digest.violations = violations
     return digest
